@@ -8,6 +8,7 @@
 //! channel-length variation. The factors compose multiplicatively with the
 //! BTI and electromigration factors.
 
+use agemul_codec::SplitMix64;
 use agemul_netlist::Netlist;
 
 /// A lognormal per-gate delay variation model.
@@ -55,38 +56,30 @@ impl VariationModel {
 
     /// Samples one delay factor per gate instance.
     pub fn factors(&self, netlist: &Netlist, seed: u64) -> Vec<f64> {
-        let mut rng = SplitMix64::new(seed);
+        let mut rng = Gaussian::new(seed);
         (0..netlist.gate_count())
             .map(|_| (self.sigma * rng.standard_normal()).exp())
             .collect()
     }
 }
 
-/// SplitMix64 with a Box–Muller Gaussian tap.
-struct SplitMix64 {
-    state: u64,
+/// A SplitMix64 stream with a Box–Muller Gaussian tap.
+struct Gaussian {
+    rng: SplitMix64,
     cached: Option<f64>,
 }
 
-impl SplitMix64 {
+impl Gaussian {
     fn new(seed: u64) -> Self {
-        SplitMix64 {
-            state: seed,
+        Gaussian {
+            rng: SplitMix64::new(seed),
             cached: None,
         }
     }
 
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// Uniform in (0, 1].
     fn uniform(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 + 1.0) / (1u64 << 53) as f64
+        ((self.rng.next_u64() >> 11) as f64 + 1.0) / (1u64 << 53) as f64
     }
 
     fn standard_normal(&mut self) -> f64 {

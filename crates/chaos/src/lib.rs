@@ -33,6 +33,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
 
+use agemul_codec::{fnv1a64, splitmix64};
+
 /// Denominator for [`SiteRule::rate_ppm`]: rules fire `rate_ppm` times per
 /// million invocations (deterministically, not statistically).
 pub const PPM: u32 = 1_000_000;
@@ -127,30 +129,10 @@ impl ChaosPlan {
     }
 }
 
-/// SplitMix64 finalizer: the workspace-standard bit mixer (same constants as
-/// the harness seed-bump path), used here to turn `(seed, site, invocation)`
-/// into a decision word.
-#[must_use]
-pub fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over a byte string; folds site names into the decision seed.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
+/// The decision word for one invocation: the site name is folded into the
+/// seed with FNV-1a, then SplitMix64 mixes in the invocation index.
 fn decision(seed: u64, site: &str, invocation: u64) -> u64 {
-    splitmix(splitmix(seed ^ fnv1a(site.as_bytes())).wrapping_add(invocation))
+    splitmix64(splitmix64(seed ^ fnv1a64(site.as_bytes())).wrapping_add(invocation))
 }
 
 struct Armed {
@@ -273,7 +255,7 @@ pub fn hit(site: &str, ctx: &str) -> Option<Shot> {
         armed.injected[i].fetch_add(1, Ordering::Relaxed);
         return Some(Shot {
             kind,
-            entropy: splitmix(word),
+            entropy: splitmix64(word),
         });
     }
     None

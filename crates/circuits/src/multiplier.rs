@@ -95,6 +95,21 @@ impl MultiplierKind {
             MultiplierKind::Booth => "BOOTH",
         }
     }
+
+    /// Parses a [`label`](Self::label) (`AM`, `CB`, `RB`, `WAL`, `BOOTH`).
+    ///
+    /// # Errors
+    ///
+    /// Describes the unknown label and lists the valid ones.
+    pub fn from_label(label: &str) -> Result<MultiplierKind, String> {
+        MultiplierKind::ALL
+            .into_iter()
+            .find(|k| k.label() == label)
+            .ok_or_else(|| {
+                let valid: Vec<&str> = MultiplierKind::ALL.iter().map(|k| k.label()).collect();
+                format!("unknown kind {label:?} (want one of {})", valid.join(", "))
+            })
+    }
 }
 
 impl fmt::Display for MultiplierKind {
@@ -321,6 +336,17 @@ mod tests {
         assert_eq!(MultiplierKind::ColumnBypass.label(), "CB");
         assert_eq!(MultiplierKind::RowBypass.label(), "RB");
         assert_eq!(MultiplierKind::ColumnBypass.to_string(), "column-bypassing");
+    }
+
+    #[test]
+    fn labels_parse_back() {
+        for kind in MultiplierKind::ALL {
+            assert_eq!(MultiplierKind::from_label(kind.label()), Ok(kind));
+        }
+        assert_eq!(
+            MultiplierKind::from_label("XX").unwrap_err(),
+            "unknown kind \"XX\" (want one of AM, CB, RB, WAL, BOOTH)"
+        );
     }
 
     #[test]

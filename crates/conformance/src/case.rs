@@ -1,12 +1,12 @@
 //! Seeded conformance cases: a netlist recipe, workload, delay
 //! assignment, and optional fault, replayable from JSON.
 
+use agemul_codec::Json;
 use agemul_logic::DelayModel;
 use agemul_netlist::{DelayAssignment, FaultKind, FaultOverlay, GateId, NetId, Netlist};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::gen::{build_netlist, GateRecipe, GEN_INPUTS};
-use crate::json::Json;
 
 /// The delay-assignment axis of a case.
 #[derive(Clone, Debug, PartialEq)]
@@ -225,23 +225,15 @@ impl Case {
     /// Returns a description of the first syntax or schema error.
     pub fn from_json(text: &str) -> Result<Case, String> {
         let doc = Json::parse(text)?;
-        let req_u64 = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-        };
-        let seed = req_u64("seed")?;
-        let inputs = req_u64("inputs")? as usize;
+        let seed = doc.field_u64("seed")?;
+        let inputs = doc.field_u64("inputs")? as usize;
         let gates = doc
             .get("gates")
             .and_then(Json::as_arr)
             .ok_or("missing 'gates' array")?
             .iter()
             .map(|g| {
-                let kind_sel = g
-                    .get("kind")
-                    .and_then(Json::as_u64)
-                    .ok_or("gate missing 'kind'")? as u8;
+                let kind_sel = g.field_u64("kind")? as u8;
                 let picks = g
                     .get("picks")
                     .and_then(Json::as_arr)
@@ -279,14 +271,7 @@ impl Case {
                     .collect::<Result<Vec<_>, _>>()?;
                 let hot = match delay_doc.get("hot") {
                     None => None,
-                    Some(h) => Some((
-                        h.get("gate")
-                            .and_then(Json::as_u64)
-                            .ok_or("hot missing 'gate'")? as u16,
-                        h.get("factor")
-                            .and_then(Json::as_f64)
-                            .ok_or("hot missing 'factor'")?,
-                    )),
+                    Some(h) => Some((h.field_u64("gate")? as u16, h.field_f64("factor")?)),
                 };
                 DelaySpec::Aged { factors, hot }
             }
@@ -295,10 +280,7 @@ impl Case {
         let fault = match doc.get("fault") {
             None | Some(Json::Null) => None,
             Some(f) => Some(FaultCase {
-                net_pick: f
-                    .get("net")
-                    .and_then(Json::as_u64)
-                    .ok_or("fault missing 'net'")? as u16,
+                net_pick: f.field_u64("net")? as u16,
                 kind: match f.get("kind").and_then(Json::as_str) {
                     Some("stuck0") => FaultKind::StuckAt0,
                     Some("stuck1") => FaultKind::StuckAt1,

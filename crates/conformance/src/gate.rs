@@ -10,12 +10,9 @@ use crate::shrink::{repro_artifact, shrink_case};
 /// `SplitMix64`) so consecutive case indices land far apart in seed space.
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The seed case `index` uses under `base_seed` — the exact spreading
-/// [`run_gate`] applies, exported so supervised runners (the
-/// `agemul-harness` crate) evaluating cases one at a time replay the same
-/// coverage as an unsupervised gate.
+/// The seed case `index` uses under `base_seed`.
 #[inline]
-pub fn case_seed(base_seed: u64, index: usize) -> u64 {
+fn case_seed(base_seed: u64, index: usize) -> u64 {
     base_seed ^ (index as u64).wrapping_mul(SEED_STRIDE)
 }
 

@@ -8,8 +8,9 @@
 //! result is a local minimum: removing any single gate or input word makes
 //! the failure disappear.
 
+use agemul_codec::Json;
+
 use crate::case::{Case, DelaySpec};
-use crate::json::Json;
 use crate::oracle::Divergence;
 
 /// Reduces `case` to a locally minimal one that still satisfies `fails`.

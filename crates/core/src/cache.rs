@@ -49,6 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use agemul_circuits::MultiplierKind;
+use agemul_codec::fnv1a64_words;
 use agemul_netlist::DelayAssignment;
 
 use crate::{MultiplierDesign, PatternProfile};
@@ -83,23 +84,11 @@ pub fn quantize_factors(factors: &[f64]) -> Vec<f64> {
     factors.iter().map(|&f| quantize_factor(f)).collect()
 }
 
-/// FNV-1a over a `u64` stream — both the workload fingerprint and the
-/// shard-selection hash use it (tiny, deterministic, dependency-free).
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for word in words {
-        for b in word.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
 /// FNV-1a over the ordered operand pairs; the workload half of a cache key.
 fn workload_fingerprint(pairs: &[(u64, u64)]) -> u64 {
-    fnv1a(std::iter::once(pairs.len() as u64).chain(pairs.iter().flat_map(|&(a, b)| [a, b])))
+    fnv1a64_words(
+        std::iter::once(pairs.len() as u64).chain(pairs.iter().flat_map(|&(a, b)| [a, b])),
+    )
 }
 
 /// Stable per-kind tag for shard selection (independent of discriminant
@@ -312,7 +301,7 @@ impl ProfileCache {
 
     /// The shard every profile of (`kind`, `width`) lives in.
     fn shard_index(kind: MultiplierKind, width: usize) -> usize {
-        (fnv1a([kind_tag(kind), width as u64]) % SHARD_COUNT as u64) as usize
+        (fnv1a64_words([kind_tag(kind), width as u64]) % SHARD_COUNT as u64) as usize
     }
 
     /// Number of cached profiles across all shards.

@@ -44,6 +44,7 @@
 //! bit-identical to a serial run.
 
 use agemul_aging::{aging_factors, BtiModel, VariationModel};
+use agemul_codec::mix_seed;
 
 use crate::{
     quantize_factors, run_engine, CoreError, CornerProfiler, EngineConfig, MultiplierDesign,
@@ -58,7 +59,7 @@ pub struct McConfig {
     /// Lognormal σ of the per-gate time-zero variation (0 = nominal).
     pub sigma: f64,
     /// Base seed of the campaign. Corner `c` draws its variation factors
-    /// from a seed derived by a SplitMix64-style finalizer over
+    /// from the seed [`agemul_codec::mix_seed`] derives from
     /// `(seed, c)`, so corner streams are decorrelated and the whole
     /// campaign is reproducible from this one value.
     pub seed: u64,
@@ -191,23 +192,6 @@ impl McReport {
     }
 }
 
-/// SplitMix64 finalizer over the `(base, corner)` pair.
-///
-/// [`VariationModel`] walks a SplitMix64 stream whose state starts at the
-/// seed and advances by the golden-ratio gamma, so two seeds that differ
-/// by a multiple of the gamma would produce *overlapping* factor
-/// sequences. Scrambling the corner index through the finalizer first
-/// makes every corner an effectively independent stream while keeping the
-/// whole campaign a pure function of [`McConfig::seed`].
-fn corner_seed(base: u64, corner: usize) -> u64 {
-    let mut z = base
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((corner as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A seeded Monte Carlo yield campaign over one design + workload.
 ///
 /// Construction pays everything shared across corners exactly once: the
@@ -303,10 +287,11 @@ impl<'a> MonteCarloCampaign<'a> {
 
     /// The derived variation seed of corner `corner` (what
     /// [`run_corner`](Self::run_corner) reports in
-    /// [`CornerOutcome::seed`]).
+    /// [`CornerOutcome::seed`]): the base seed mixed with the corner
+    /// index, so corner streams never overlap.
     #[inline]
     pub fn seed_of(&self, corner: usize) -> u64 {
-        corner_seed(self.config.seed, corner)
+        mix_seed(self.config.seed, corner as u64)
     }
 
     /// The composed, grid-quantized per-gate delay factors of one

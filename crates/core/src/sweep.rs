@@ -89,26 +89,6 @@ impl PeriodSweep {
         Ok(Self::run(&profile, config, periods_ns))
     }
 
-    /// Reassembles a sweep from externally held points — the
-    /// reconstruction path for sweeps resumed from a checkpoint, where
-    /// each `(period, metrics)` pair was produced by an earlier
-    /// [`run`](Self::run) and must round-trip bit-identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` is empty or contains a non-positive period, as
-    /// [`run`](Self::run).
-    pub fn from_points(points: Vec<(f64, RunMetrics)>) -> Self {
-        assert!(!points.is_empty(), "sweep needs at least one period");
-        for &(p, _) in &points {
-            assert!(
-                p.is_finite() && p > 0.0,
-                "period must be finite and positive, got {p}"
-            );
-        }
-        PeriodSweep { points }
-    }
-
     /// All sweep points in period order.
     pub fn points(&self) -> &[(f64, RunMetrics)] {
         &self.points

@@ -131,19 +131,6 @@ impl EventQueue {
     }
 }
 
-/// FNV-1a over a byte stream — the workspace's standard tiny,
-/// dependency-free fingerprint (the same construction `agemul`'s profile
-/// cache and `agemul-harness`'s run keys use).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,6 +186,6 @@ mod tests {
         }
         .encode(&mut b);
         assert_ne!(a, b);
-        assert_ne!(fnv1a64(&a), fnv1a64(&b));
+        assert_ne!(agemul_codec::fnv1a64(&a), agemul_codec::fnv1a64(&b));
     }
 }

@@ -30,7 +30,10 @@ mod policy;
 mod sim;
 mod trace;
 
-pub use event::{fnv1a64, Event, EventKind, EventQueue};
+/// FNV-1a over bytes, the hash of [`FleetSummary::log_hash`]; re-exported
+/// from `agemul-codec` for existing callers.
+pub use agemul_codec::fnv1a64;
+pub use event::{Event, EventKind, EventQueue};
 pub use node::{NodeCounters, NodeState, NodeStatus};
 pub use policy::{route, FleetPolicy, RoutingPolicy};
 pub use sim::{

@@ -6,6 +6,8 @@
 //! streams are decorrelated with the same SplitMix64 finalizer the Monte
 //! Carlo campaign uses for corner seeds.
 
+use agemul_codec::{mix_seed, SplitMix64};
+
 /// The flavours of traffic a fleet can be driven with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraceKind {
@@ -82,35 +84,11 @@ pub struct TraceOp {
     pub b: u64,
 }
 
-/// SplitMix64 — the workspace's seed-derivation PRNG.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
 /// Derives the decorrelated seed of one epoch's stream from the base seed
-/// (the same finalizer `agemul`'s Monte Carlo campaign applies to corner
+/// (the same mixer `agemul`'s Monte Carlo campaign applies to corner
 /// indices).
 pub fn epoch_seed(base: u64, epoch: usize) -> u64 {
-    let mut z = base
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((epoch as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix_seed(base, epoch as u64)
 }
 
 /// Generates epoch `epoch` of a trace: `ops` operations over `width`-bit

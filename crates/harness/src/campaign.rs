@@ -12,29 +12,13 @@
 use std::path::Path;
 
 use agemul::MultiplierDesign;
-use agemul_conformance::Json;
-use agemul_faults::{prepare_baseline, prepare_fault, Campaign, FaultError, FaultSpec};
+use agemul_codec::{fnv1a64, fnv1a64_extend, Json};
+use agemul_faults::{prepare_baseline, prepare_fault, Campaign, FaultSpec};
 
 use crate::checkpoint::CaseStatus;
-use crate::snapshot::{
-    evidence_from_json, evidence_to_json, is_cancellation, profile_from_json, profile_to_json,
-};
+use crate::snapshot::{evidence_from_json, evidence_to_json, profile_from_json, profile_to_json};
 use crate::supervisor::{Attempt, CaseError, Resume, RunLedger, Supervisor, SupervisorConfig};
 use crate::HarnessError;
-
-/// FNV-1a 64-bit — the workspace's offline fingerprint hash.
-pub(crate) fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = if seed == 0 {
-        0xCBF2_9CE4_8422_2325
-    } else {
-        seed
-    };
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Fingerprints a campaign's work: design, workload, and fault list. Two
 /// runs share a key exactly when every case's result is interchangeable.
@@ -44,14 +28,14 @@ pub fn campaign_run_key(
     faults: &[FaultSpec],
 ) -> String {
     let kind = design.circuit().kind();
-    let mut h = fnv1a64(0, kind.label().as_bytes());
-    h = fnv1a64(h, &(design.circuit().width() as u64).to_le_bytes());
+    let mut h = fnv1a64(kind.label().as_bytes());
+    h = fnv1a64_extend(h, &(design.circuit().width() as u64).to_le_bytes());
     for &(a, b) in pairs {
-        h = fnv1a64(h, &a.to_le_bytes());
-        h = fnv1a64(h, &b.to_le_bytes());
+        h = fnv1a64_extend(h, &a.to_le_bytes());
+        h = fnv1a64_extend(h, &b.to_le_bytes());
     }
     for f in faults {
-        h = fnv1a64(h, f.label().as_bytes());
+        h = fnv1a64_extend(h, f.label().as_bytes());
     }
     format!(
         "campaign/{}{}x{}/{}cases/{h:016x}",
@@ -71,14 +55,6 @@ pub struct SupervisedCampaign {
     pub campaign: Campaign,
     /// The full per-case execution record.
     pub ledger: RunLedger,
-}
-
-fn fault_case_error(e: FaultError) -> CaseError {
-    if is_cancellation(&e) {
-        CaseError::Cancelled
-    } else {
-        CaseError::Failed(e.to_string())
-    }
 }
 
 /// Prepares a fault campaign under supervision.
@@ -120,12 +96,12 @@ pub fn run_campaign_supervised(
         let cancel = attempt.cancel.as_ref();
         if attempt.index == 0 {
             let profile = prepare_baseline(design, pairs, attempt.engine, cancel)
-                .map_err(fault_case_error)?;
+                .map_err(|e| CaseError::from_error(&e))?;
             Ok(profile_to_json(&profile))
         } else {
             let spec = &faults[attempt.index - 1];
             let evidence = prepare_fault(design, pairs, spec, attempt.engine, cancel)
-                .map_err(fault_case_error)?;
+                .map_err(|e| CaseError::from_error(&e))?;
             Ok(evidence_to_json(&evidence))
         }
     };
@@ -144,21 +120,16 @@ pub fn run_campaign_supervised(
             })
         }
     };
-    let mut entries = Vec::with_capacity(faults.len());
-    let mut quarantined = Vec::new();
-    for (i, spec) in faults.iter().enumerate() {
-        match &ledger.records[i + 1].status {
-            CaseStatus::Done { value } => {
-                let evidence =
-                    evidence_from_json(value).map_err(|reason| HarnessError::Decode {
-                        what: format!("evidence for fault {}", spec.label()),
-                        reason,
-                    })?;
-                entries.push((*spec, evidence));
-            }
-            CaseStatus::Quarantined { .. } => quarantined.push(spec.label()),
-        }
-    }
+    let (done, quarantined) = ledger.decode(
+        1,
+        |i| format!("evidence for fault {}", faults[i - 1].label()),
+        evidence_from_json,
+    )?;
+    let entries = done
+        .into_iter()
+        .map(|(i, ev)| (faults[i - 1], ev))
+        .collect();
+    let quarantined = quarantined.iter().map(|&i| faults[i - 1].label()).collect();
     Ok(SupervisedCampaign {
         campaign: Campaign::assemble(baseline, entries, quarantined),
         ledger,

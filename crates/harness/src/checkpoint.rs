@@ -26,7 +26,7 @@
 use std::fmt;
 use std::path::Path;
 
-use agemul_conformance::Json;
+use agemul_codec::Json;
 
 /// Schema tag every checkpoint document must carry.
 pub const SCHEMA: &str = "agemul-harness-ckpt/1";
@@ -210,10 +210,7 @@ impl Checkpoint {
     /// recorded CRC.
     pub fn from_document(text: &str) -> Result<Self, CheckpointError> {
         let doc = Json::parse(text).map_err(|message| CheckpointError::Parse { message })?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| parse_err("missing schema field"))?;
+        let schema = doc.field_str("schema").map_err(parse_err)?;
         if schema != SCHEMA {
             return Err(CheckpointError::Schema {
                 found: schema.to_string(),
@@ -231,76 +228,38 @@ impl Checkpoint {
         if found != expected {
             return Err(CheckpointError::Checksum { expected, found });
         }
-        Self::decode_payload(payload)
+        Self::decode_payload(payload).map_err(parse_err)
     }
 
-    fn decode_payload(payload: &Json) -> Result<Self, CheckpointError> {
-        let run_key = payload
-            .get("run_key")
-            .and_then(Json::as_str)
-            .ok_or_else(|| parse_err("payload missing run_key"))?
-            .to_string();
-        let total = payload
-            .get("total")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| parse_err("payload missing total"))? as usize;
+    fn decode_payload(payload: &Json) -> Result<Self, String> {
         let raw = payload
             .get("entries")
             .and_then(Json::as_arr)
-            .ok_or_else(|| parse_err("payload missing entries"))?;
+            .ok_or("payload missing entries")?;
         let mut entries = Vec::with_capacity(raw.len());
         for e in raw {
-            let index = e
-                .get("index")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| parse_err("entry missing index"))? as usize;
-            let label = e
-                .get("label")
-                .and_then(Json::as_str)
-                .ok_or_else(|| parse_err("entry missing label"))?
-                .to_string();
-            let engine = e
-                .get("engine")
-                .and_then(Json::as_str)
-                .ok_or_else(|| parse_err("entry missing engine"))?
-                .to_string();
-            let retries = e
-                .get("retries")
-                .and_then(Json::as_u64)
-                .and_then(|u| u32::try_from(u).ok())
-                .ok_or_else(|| parse_err("entry missing retries"))?;
-            let degraded = e
-                .get("degraded")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| parse_err("entry missing degraded"))?;
-            let status = match e.get("status").and_then(Json::as_str) {
-                Some("done") => CaseStatus::Done {
-                    value: e
-                        .get("value")
-                        .ok_or_else(|| parse_err("done entry missing value"))?
-                        .clone(),
+            let status = match e.field_str("status")? {
+                "done" => CaseStatus::Done {
+                    value: e.get("value").ok_or("done entry missing value")?.clone(),
                 },
-                Some("quarantined") => CaseStatus::Quarantined {
-                    reason: e
-                        .get("reason")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| parse_err("quarantined entry missing reason"))?
-                        .to_string(),
+                "quarantined" => CaseStatus::Quarantined {
+                    reason: e.field_str("reason")?.to_string(),
                 },
-                _ => return Err(parse_err("entry has unknown status")),
+                other => return Err(format!("entry has unknown status {other:?}")),
             };
             entries.push(CaseRecord {
-                index,
-                label,
-                engine,
-                retries,
-                degraded,
+                index: e.field_u64("index")? as usize,
+                label: e.field_str("label")?.to_string(),
+                engine: e.field_str("engine")?.to_string(),
+                retries: u32::try_from(e.field_u64("retries")?)
+                    .map_err(|_| "entry retries out of u32 range")?,
+                degraded: e.field_bool("degraded")?,
                 status,
             });
         }
         Ok(Checkpoint {
-            run_key,
-            total,
+            run_key: payload.field_str("run_key")?.to_string(),
+            total: payload.field_u64("total")? as usize,
             entries,
         })
     }
@@ -406,9 +365,9 @@ fn io_err(e: std::io::Error) -> CheckpointError {
     }
 }
 
-fn parse_err(message: &str) -> CheckpointError {
+fn parse_err(message: impl Into<String>) -> CheckpointError {
     CheckpointError::Parse {
-        message: message.to_string(),
+        message: message.into(),
     }
 }
 

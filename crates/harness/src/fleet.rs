@@ -20,12 +20,9 @@ use std::path::Path;
 
 use agemul::MultiplierDesign;
 use agemul_aging::BtiModel;
-use agemul_conformance::Json;
+use agemul_codec::{fnv1a64, fnv1a64_extend, Json};
 use agemul_fleet::{FleetCampaign, FleetConfig, FleetSim, FleetSummary};
 
-use crate::campaign::fnv1a64;
-use crate::checkpoint::CaseStatus;
-use crate::snapshot::is_cancellation;
 use crate::supervisor::{Attempt, CaseError, Resume, RunLedger, Supervisor, SupervisorConfig};
 use crate::HarnessError;
 
@@ -79,10 +76,10 @@ impl SupervisedFleet {
 /// scenario's summary is interchangeable.
 pub fn fleet_run_key(design: &MultiplierDesign, scenarios: &[FleetScenario]) -> String {
     let kind = design.kind();
-    let mut h = fnv1a64(0, kind.label().as_bytes());
-    h = fnv1a64(h, &(design.width() as u64).to_le_bytes());
+    let mut h = fnv1a64(kind.label().as_bytes());
+    h = fnv1a64_extend(h, &(design.width() as u64).to_le_bytes());
     for s in scenarios {
-        h = fnv1a64(h, s.label.as_bytes());
+        h = fnv1a64_extend(h, s.label.as_bytes());
         let c = &s.config;
         for word in [
             c.nodes as u64,
@@ -99,10 +96,10 @@ pub fn fleet_run_key(design: &MultiplierDesign, scenarios: &[FleetScenario]) -> 
             c.quorum as u64,
             u64::from(c.error_penalty_cycles),
         ] {
-            h = fnv1a64(h, &word.to_le_bytes());
+            h = fnv1a64_extend(h, &word.to_le_bytes());
         }
         for word in c.policy.fingerprint_words() {
-            h = fnv1a64(h, &word.to_le_bytes());
+            h = fnv1a64_extend(h, &word.to_le_bytes());
         }
     }
     format!(
@@ -112,14 +109,6 @@ pub fn fleet_run_key(design: &MultiplierDesign, scenarios: &[FleetScenario]) -> 
         design.width(),
         scenarios.len(),
     )
-}
-
-fn fleet_case_error(e: agemul::CoreError) -> CaseError {
-    if is_cancellation(&e) {
-        CaseError::Cancelled
-    } else {
-        CaseError::Failed(e.to_string())
-    }
 }
 
 /// Runs a fleet policy study under supervision, one case per scenario.
@@ -156,31 +145,21 @@ pub fn run_fleet_supervised(
 
     let worker = |attempt: &Attempt| -> Result<Json, CaseError> {
         let scenario = &scenarios[attempt.index];
-        let campaign =
-            FleetCampaign::new(design, bti, scenario.config.clone()).map_err(fleet_case_error)?;
+        let campaign = FleetCampaign::new(design, bti, scenario.config.clone())
+            .map_err(|e| CaseError::from_error(&e))?;
         let mut sim = FleetSim::new(&campaign);
         let summary = sim
             .run(attempt.engine, attempt.cancel.as_ref())
-            .map_err(fleet_case_error)?;
+            .map_err(|e| CaseError::from_error(&e))?;
         Ok(summary.to_json())
     };
     let ledger = supervisor.run(&worker, checkpoint, resume)?;
 
-    let mut summaries = Vec::with_capacity(scenarios.len());
-    let mut quarantined_scenarios = Vec::new();
-    for (i, record) in ledger.records.iter().enumerate() {
-        match &record.status {
-            CaseStatus::Done { value } => {
-                let summary =
-                    FleetSummary::from_json(value).map_err(|reason| HarnessError::Decode {
-                        what: format!("summary for scenario {i}"),
-                        reason,
-                    })?;
-                summaries.push((i, summary));
-            }
-            CaseStatus::Quarantined { .. } => quarantined_scenarios.push(i),
-        }
-    }
+    let (summaries, quarantined_scenarios) = ledger.decode(
+        0,
+        |i| format!("summary for scenario {i}"),
+        FleetSummary::from_json,
+    )?;
     if summaries.is_empty() && !scenarios.is_empty() {
         return Err(HarnessError::NoUsableCases);
     }

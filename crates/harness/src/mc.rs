@@ -20,11 +20,8 @@
 use std::path::Path;
 
 use agemul::{CornerOutcome, McReport, MonteCarloCampaign, SimEngine, YearOutcome};
-use agemul_conformance::Json;
+use agemul_codec::{fnv1a64, fnv1a64_extend, Json};
 
-use crate::campaign::fnv1a64;
-use crate::checkpoint::CaseStatus;
-use crate::snapshot::is_cancellation;
 use crate::supervisor::{Attempt, CaseError, Resume, RunLedger, Supervisor, SupervisorConfig};
 use crate::HarnessError;
 
@@ -50,21 +47,21 @@ pub fn mc_run_key(campaign: &MonteCarloCampaign<'_>) -> String {
     let design = campaign.design();
     let config = campaign.config();
     let kind = design.kind();
-    let mut h = fnv1a64(0, kind.label().as_bytes());
-    h = fnv1a64(h, &(design.width() as u64).to_le_bytes());
+    let mut h = fnv1a64(kind.label().as_bytes());
+    h = fnv1a64_extend(h, &(design.width() as u64).to_le_bytes());
     for &(a, b) in campaign.pairs() {
-        h = fnv1a64(h, &a.to_le_bytes());
-        h = fnv1a64(h, &b.to_le_bytes());
+        h = fnv1a64_extend(h, &a.to_le_bytes());
+        h = fnv1a64_extend(h, &b.to_le_bytes());
     }
-    h = fnv1a64(h, &(config.corners as u64).to_le_bytes());
-    h = fnv1a64(h, &config.sigma.to_bits().to_le_bytes());
-    h = fnv1a64(h, &config.seed.to_le_bytes());
+    h = fnv1a64_extend(h, &(config.corners as u64).to_le_bytes());
+    h = fnv1a64_extend(h, &config.sigma.to_bits().to_le_bytes());
+    h = fnv1a64_extend(h, &config.seed.to_le_bytes());
     for &y in &config.years {
-        h = fnv1a64(h, &y.to_bits().to_le_bytes());
+        h = fnv1a64_extend(h, &y.to_bits().to_le_bytes());
     }
-    h = fnv1a64(h, &config.cycle_ns.to_bits().to_le_bytes());
-    h = fnv1a64(h, &config.skip.to_le_bytes());
-    h = fnv1a64(h, &config.error_limit_per_10k.to_bits().to_le_bytes());
+    h = fnv1a64_extend(h, &config.cycle_ns.to_bits().to_le_bytes());
+    h = fnv1a64_extend(h, &config.skip.to_le_bytes());
+    h = fnv1a64_extend(h, &config.error_limit_per_10k.to_bits().to_le_bytes());
     format!(
         "mc/{}{}x{}/{}corners/{h:016x}",
         kind.label(),
@@ -72,24 +69,6 @@ pub fn mc_run_key(campaign: &MonteCarloCampaign<'_>) -> String {
         design.width(),
         config.corners,
     )
-}
-
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
-fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing or non-boolean field {key:?}"))
 }
 
 /// Serializes one corner's evidence losslessly (floats as
@@ -130,28 +109,20 @@ pub fn corner_from_json(v: &Json) -> Result<CornerOutcome, String> {
     let mut outcomes = Vec::with_capacity(raw.len());
     for o in raw {
         outcomes.push(YearOutcome {
-            years: get_f64(o, "years")?,
-            max_delay_ns: get_f64(o, "max_delay_ns")?,
-            baseline_pass: get_bool(o, "baseline_pass")?,
-            errors_per_10k: get_f64(o, "errors_per_10k")?,
-            undetected: get_u64(o, "undetected")?,
-            aged_mode_entered: get_bool(o, "aged_mode_entered")?,
-            adaptive_pass: get_bool(o, "adaptive_pass")?,
+            years: o.field_f64("years")?,
+            max_delay_ns: o.field_f64("max_delay_ns")?,
+            baseline_pass: o.field_bool("baseline_pass")?,
+            errors_per_10k: o.field_f64("errors_per_10k")?,
+            undetected: o.field_u64("undetected")?,
+            aged_mode_entered: o.field_bool("aged_mode_entered")?,
+            adaptive_pass: o.field_bool("adaptive_pass")?,
         });
     }
     Ok(CornerOutcome {
-        corner: get_u64(v, "corner")? as usize,
-        seed: get_u64(v, "seed")?,
+        corner: v.field_u64("corner")? as usize,
+        seed: v.field_u64("seed")?,
         outcomes,
     })
-}
-
-fn mc_case_error(e: agemul::CoreError) -> CaseError {
-    if is_cancellation(&e) {
-        CaseError::Cancelled
-    } else {
-        CaseError::Failed(e.to_string())
-    }
 }
 
 /// Runs a [`MonteCarloCampaign`] under supervision, one case per corner.
@@ -191,32 +162,20 @@ pub fn run_mc_supervised(
                 // lifetime axis. (Per-case construction keeps each case
                 // hermetic for retry/quarantine; the plan reuse across
                 // years is where the profiling time goes anyway.)
-                let mut profiler = campaign.profiler().map_err(mc_case_error)?;
+                let mut profiler = campaign.profiler().map_err(|e| CaseError::from_error(&e))?;
                 campaign.run_corner(&mut profiler, attempt.index, cancel)
             }
             SimEngine::Event => {
                 campaign.run_corner_from_scratch(attempt.index, SimEngine::Event, cancel)
             }
         }
-        .map_err(mc_case_error)?;
+        .map_err(|e| CaseError::from_error(&e))?;
         Ok(corner_to_json(&outcome))
     };
     let ledger = supervisor.run(&worker, checkpoint, resume)?;
 
-    let mut usable = Vec::with_capacity(corners);
-    let mut quarantined_corners = Vec::new();
-    for (i, record) in ledger.records.iter().enumerate() {
-        match &record.status {
-            CaseStatus::Done { value } => {
-                let outcome = corner_from_json(value).map_err(|reason| HarnessError::Decode {
-                    what: format!("evidence for corner {i}"),
-                    reason,
-                })?;
-                usable.push(outcome);
-            }
-            CaseStatus::Quarantined { .. } => quarantined_corners.push(i),
-        }
-    }
+    let (usable, quarantined_corners) =
+        ledger.decode(0, |i| format!("evidence for corner {i}"), corner_from_json)?;
     if usable.is_empty() && corners > 0 {
         return Err(HarnessError::NoUsableCases);
     }
@@ -224,7 +183,7 @@ pub fn run_mc_supervised(
         report: McReport {
             years: campaign.config().years.clone(),
             cycle_ns: campaign.config().cycle_ns,
-            corners: usable,
+            corners: usable.into_iter().map(|(_, c)| c).collect(),
         },
         quarantined_corners,
         ledger,

@@ -8,7 +8,7 @@
 //! request is retried by its client, not resumed from disk), and the
 //! outcome is the single [`CaseRecord`] instead of a ledger.
 
-use agemul_conformance::Json;
+use agemul_codec::Json;
 
 use crate::checkpoint::CaseRecord;
 use crate::supervisor::{Attempt, CaseError, Resume, Supervisor, SupervisorConfig};
@@ -31,7 +31,7 @@ use crate::HarnessError;
 /// # Example
 ///
 /// ```
-/// use agemul_conformance::Json;
+/// use agemul_codec::Json;
 /// use agemul_harness::{run_request_supervised, CaseStatus, SupervisorConfig};
 ///
 /// let record = run_request_supervised(

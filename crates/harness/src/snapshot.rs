@@ -3,48 +3,15 @@
 //! Everything a supervised run checkpoints must round-trip
 //! **bit-identically** — a resumed run replays recorded evidence instead
 //! of recomputing it, and the resume-identity guarantee only holds if the
-//! trip through JSON is lossless. The `agemul-conformance` [`Json`] model
-//! was built for exactly this: `u64` is a distinct variant and floats
+//! trip through JSON is lossless. The `agemul-codec` [`Json`] model was
+//! built for exactly this: `u64` is a distinct variant and floats
 //! print in shortest round-trip form, so `f64::to_bits` survives.
 
-use agemul::{PatternProfile, PatternRecord, RunMetrics};
+use agemul::{PatternProfile, PatternRecord};
 use agemul_circuits::MultiplierKind;
-use agemul_conformance::Json;
+use agemul_codec::Json;
 use agemul_faults::FaultEvidence;
 use agemul_netlist::NetlistError;
-
-fn kind_label(kind: MultiplierKind) -> &'static str {
-    kind.label()
-}
-
-fn kind_from_label(label: &str) -> Result<MultiplierKind, String> {
-    match label {
-        "AM" => Ok(MultiplierKind::Array),
-        "CB" => Ok(MultiplierKind::ColumnBypass),
-        "RB" => Ok(MultiplierKind::RowBypass),
-        "WAL" => Ok(MultiplierKind::Wallace),
-        "BOOTH" => Ok(MultiplierKind::Booth),
-        other => Err(format!("unknown multiplier kind label {other:?}")),
-    }
-}
-
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
-fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
-}
 
 /// Serializes a [`PatternProfile`] losslessly (operands as integers,
 /// delays as shortest-round-trip floats, switching activity included).
@@ -62,7 +29,7 @@ pub fn profile_to_json(p: &PatternProfile) -> Json {
         })
         .collect();
     Json::Obj(vec![
-        ("kind".into(), Json::Str(kind_label(p.kind()).into())),
+        ("kind".into(), Json::Str(p.kind().label().into())),
         ("width".into(), Json::UInt(p.width() as u64)),
         ("avg_gate_toggles".into(), Json::Num(p.avg_gate_toggles())),
         ("records".into(), Json::Arr(records)),
@@ -75,9 +42,9 @@ pub fn profile_to_json(p: &PatternProfile) -> Json {
 ///
 /// A rendered description of the first missing or mistyped field.
 pub fn profile_from_json(v: &Json) -> Result<PatternProfile, String> {
-    let kind = kind_from_label(get_str(v, "kind")?)?;
-    let width = get_u64(v, "width")? as usize;
-    let toggles = get_f64(v, "avg_gate_toggles")?;
+    let kind = MultiplierKind::from_label(v.field_str("kind")?)?;
+    let width = v.field_u64("width")? as usize;
+    let toggles = v.field_f64("avg_gate_toggles")?;
     let raw = v
         .get("records")
         .and_then(Json::as_arr)
@@ -85,51 +52,16 @@ pub fn profile_from_json(v: &Json) -> Result<PatternProfile, String> {
     let mut records = Vec::with_capacity(raw.len());
     for r in raw {
         records.push(PatternRecord {
-            a: get_u64(r, "a")?,
-            b: get_u64(r, "b")?,
-            zeros: u32::try_from(get_u64(r, "zeros")?)
+            a: r.field_u64("a")?,
+            b: r.field_u64("b")?,
+            zeros: u32::try_from(r.field_u64("zeros")?)
                 .map_err(|_| "zeros out of u32 range".to_string())?,
-            delay_ns: get_f64(r, "delay_ns")?,
+            delay_ns: r.field_f64("delay_ns")?,
         });
     }
     Ok(PatternProfile::from_records_with_toggles(
         kind, width, records, toggles,
     ))
-}
-
-/// Serializes [`RunMetrics`] field by field.
-pub fn metrics_to_json(m: &RunMetrics) -> Json {
-    Json::Obj(vec![
-        ("operations".into(), Json::UInt(m.operations)),
-        ("cycles".into(), Json::UInt(m.cycles)),
-        ("errors".into(), Json::UInt(m.errors)),
-        ("one_cycle_ops".into(), Json::UInt(m.one_cycle_ops)),
-        ("two_cycle_ops".into(), Json::UInt(m.two_cycle_ops)),
-        ("undetected".into(), Json::UInt(m.undetected)),
-        ("cycle_ns".into(), Json::Num(m.cycle_ns)),
-        ("aged_mode_entered".into(), Json::Bool(m.aged_mode_entered)),
-    ])
-}
-
-/// Rebuilds [`RunMetrics`] from [`metrics_to_json`] output.
-///
-/// # Errors
-///
-/// A rendered description of the first missing or mistyped field.
-pub fn metrics_from_json(v: &Json) -> Result<RunMetrics, String> {
-    Ok(RunMetrics {
-        operations: get_u64(v, "operations")?,
-        cycles: get_u64(v, "cycles")?,
-        errors: get_u64(v, "errors")?,
-        one_cycle_ops: get_u64(v, "one_cycle_ops")?,
-        two_cycle_ops: get_u64(v, "two_cycle_ops")?,
-        undetected: get_u64(v, "undetected")?,
-        cycle_ns: get_f64(v, "cycle_ns")?,
-        aged_mode_entered: v
-            .get("aged_mode_entered")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| "missing aged_mode_entered".to_string())?,
-    })
 }
 
 /// Serializes one fault's [`FaultEvidence`].
@@ -159,9 +91,9 @@ pub fn evidence_to_json(ev: &FaultEvidence) -> Json {
 ///
 /// A rendered description of the first missing or mistyped field.
 pub fn evidence_from_json(v: &Json) -> Result<FaultEvidence, String> {
-    match get_str(v, "family")? {
+    match v.field_str("family")? {
         "logic" => Ok(FaultEvidence::Logic {
-            corrupted_ops: get_u64(v, "corrupted_ops")?,
+            corrupted_ops: v.field_u64("corrupted_ops")?,
             first_corrupted_op: match v.get("first_corrupted_op") {
                 Some(Json::Null) | None => None,
                 Some(x) => Some(
@@ -239,24 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_round_trip() {
-        let m = RunMetrics {
-            operations: 10_000,
-            cycles: 13_337,
-            errors: 41,
-            one_cycle_ops: 7_001,
-            two_cycle_ops: 2_999,
-            undetected: 3,
-            cycle_ns: 0.9500000000000001,
-            aged_mode_entered: true,
-        };
-        let text = metrics_to_json(&m).to_string();
-        let back = metrics_from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.cycle_ns.to_bits(), m.cycle_ns.to_bits());
-    }
-
-    #[test]
     fn evidence_round_trips_both_families() {
         let logic = FaultEvidence::Logic {
             corrupted_ops: 7,
@@ -294,7 +208,6 @@ mod tests {
         )]))
         .unwrap_err()
         .contains("bogus"));
-        assert!(kind_from_label("XX").is_err());
     }
 
     #[test]

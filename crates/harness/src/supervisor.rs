@@ -6,9 +6,10 @@ use std::path::Path;
 use std::time::Duration;
 
 use agemul::{CancelToken, SimEngine};
-use agemul_conformance::Json;
+use agemul_codec::{splitmix64, Json};
 
 use crate::checkpoint::{CaseRecord, CaseStatus, Checkpoint, CheckpointError};
+use crate::snapshot::is_cancellation;
 use crate::HarnessError;
 
 /// Supervision policy for one run.
@@ -98,6 +99,23 @@ pub enum CaseError {
     Failed(String),
 }
 
+impl CaseError {
+    /// Classifies a worker's error: [`CaseError::Cancelled`] when its
+    /// source chain ends in a fired deadline (see [`is_cancellation`]),
+    /// otherwise [`CaseError::Failed`] with the rendered error.
+    pub fn from_error(err: &(dyn std::error::Error + 'static)) -> CaseError {
+        if is_cancellation(err) {
+            CaseError::Cancelled
+        } else {
+            CaseError::Failed(err.to_string())
+        }
+    }
+}
+
+/// `(index, value)` of every decoded completed case, then the indices of
+/// the quarantined cases (see [`RunLedger::decode`]).
+type Decoded<T> = (Vec<(usize, T)>, Vec<usize>);
+
 /// The completed ledger of a supervised run: every case accounted for, in
 /// index order.
 #[derive(Clone, Debug, PartialEq)]
@@ -116,6 +134,38 @@ impl RunLedger {
             .filter(|r| matches!(r.status, CaseStatus::Quarantined { .. }))
             .map(|r| r.index)
             .collect()
+    }
+
+    /// Decodes the value of every completed case from index `first` on.
+    ///
+    /// Returns `(index, value)` for each completed case and the indices of
+    /// the quarantined ones, both in index order. A value that fails to
+    /// decode is a [`HarnessError::Decode`] naming `what(index)`.
+    ///
+    /// # Errors
+    ///
+    /// The first decode failure, in index order.
+    pub fn decode<T>(
+        &self,
+        first: usize,
+        what: impl Fn(usize) -> String,
+        decode: impl Fn(&Json) -> Result<T, String>,
+    ) -> Result<Decoded<T>, HarnessError> {
+        let mut done = Vec::with_capacity(self.records.len().saturating_sub(first));
+        let mut quarantined = Vec::new();
+        for record in self.records.iter().skip(first) {
+            match &record.status {
+                CaseStatus::Done { value } => {
+                    let value = decode(value).map_err(|reason| HarnessError::Decode {
+                        what: what(record.index),
+                        reason,
+                    })?;
+                    done.push((record.index, value));
+                }
+                CaseStatus::Quarantined { .. } => quarantined.push(record.index),
+            }
+        }
+        Ok((done, quarantined))
     }
 
     /// Indices of cases that fell back to the reference engine, in order.
@@ -145,14 +195,6 @@ fn engine_name(engine: SimEngine) -> &'static str {
         SimEngine::Level => LEVEL,
         SimEngine::Event => EVENT,
     }
-}
-
-/// SplitMix64 finalizer — the retry seed perturbation.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -323,7 +365,7 @@ impl Supervisor {
                 seed_bump: if retry == 0 {
                     0
                 } else {
-                    splitmix((index as u64) ^ (u64::from(retry) << 32))
+                    splitmix64((index as u64) ^ (u64::from(retry) << 32))
                 },
                 engine,
                 cancel: cfg.deadline.map(CancelToken::with_deadline),
@@ -532,7 +574,7 @@ mod tests {
         assert_ne!(seen[1], seen[2]);
         // Re-running reproduces the same perturbations.
         // Case index 0, retry 1 → mix input is (0 ^ (1 << 32)).
-        assert_eq!(seen[1], splitmix(1u64 << 32));
+        assert_eq!(seen[1], splitmix64(1u64 << 32));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 
 use agemul_chaos::{arm, ChaosPlan, FaultKind, PPM};
-use agemul_conformance::Json;
+use agemul_codec::Json;
 use agemul_harness::{
     Attempt, CaseStatus, Checkpoint, CheckpointError, Resume, RunLedger, Supervisor,
     SupervisorConfig,

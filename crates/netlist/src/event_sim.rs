@@ -3,6 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use agemul_codec::fnv1a64_words;
 use agemul_logic::{DelayModel, GateKind, Logic};
 
 use crate::{GateId, NetId, Netlist, NetlistError, Topology};
@@ -144,18 +145,9 @@ impl DelayAssignment {
     /// hot spots all change it, while replaying the same assignment reuses
     /// cached profiles (see `agemul::ProfileCache`).
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in (self.per_gate_fs.len() as u64).to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        for &d in &self.per_gate_fs {
-            for b in d.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            }
-        }
-        h
+        fnv1a64_words(
+            std::iter::once(self.per_gate_fs.len() as u64).chain(self.per_gate_fs.iter().copied()),
+        )
     }
 
     /// Number of gates covered.

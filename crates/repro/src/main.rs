@@ -36,14 +36,11 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use agemul::LaneWidth;
-use agemul_conformance::Json;
-use agemul_harness::{
-    is_cancellation, Attempt, CaseError, CaseStatus, Resume, Supervisor, SupervisorConfig,
-};
+use agemul_circuits::MultiplierKind;
+use agemul_codec::Json;
+use agemul_harness::{Attempt, CaseError, CaseStatus, Resume, Supervisor, SupervisorConfig};
 use agemul_repro::{experiments, Context, Report, Scale};
-use agemul_serve::{
-    parse_kind, roundtrip, DesignQuery, Endpoint, Request, RequestBody, ServeConfig,
-};
+use agemul_serve::{roundtrip, DesignQuery, Endpoint, Request, RequestBody, ServeConfig};
 
 fn usage() {
     eprintln!(
@@ -478,7 +475,7 @@ fn parse_query(args: &[String]) -> Result<Command, String> {
             .as_deref()
             .ok_or_else(|| format!("--op {op} needs --kind"))?;
         Ok(DesignQuery {
-            kind: parse_kind(label)?,
+            kind: MultiplierKind::from_label(label)?,
             width: width.ok_or_else(|| format!("--op {op} needs --width"))?,
             years: years.unwrap_or(0.0),
             patterns: patterns.unwrap_or(1_000),
@@ -695,13 +692,8 @@ fn run_supervised(run: &RunArgs, tuning: Tuning) -> ExitCode {
         let mut ctx = Context::new(scale);
         tuning.apply(&mut ctx);
         ctx.set_supervision(attempt.engine, attempt.cancel.clone());
-        let report = experiments::run_by_id(&mut ctx, id).map_err(|e| {
-            if is_cancellation(&*e) {
-                CaseError::Cancelled
-            } else {
-                CaseError::Failed(e.to_string())
-            }
-        })?;
+        let report =
+            experiments::run_by_id(&mut ctx, id).map_err(|e| CaseError::from_error(&*e))?;
         Ok(report_to_json(&report))
     };
 

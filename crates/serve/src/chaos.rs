@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use agemul::SimEngine;
 use agemul_chaos::{arm, ChaosPlan, FaultKind, PPM};
 use agemul_circuits::MultiplierKind;
-use agemul_conformance::Json;
+use agemul_codec::Json;
 use agemul_harness::{
     Attempt, CaseError, Checkpoint, CheckpointError, Resume, RunLedger, Supervisor,
     SupervisorConfig,

@@ -46,13 +46,14 @@ mod state;
 
 pub use flight::{FlightError, FlightRole, SingleFlight};
 pub use proto::{
-    parse_kind, read_frame, response_error, response_ok, response_overloaded, write_frame,
-    DesignQuery, FrameAccumulator, FramePoll, Request, RequestBody, MAX_FRAME_BYTES,
+    read_frame, response_error, response_ok, response_overloaded, write_frame, DesignQuery,
+    FrameAccumulator, FramePoll, Request, RequestBody, MAX_CORNERS, MAX_EPOCHS, MAX_FAULTS,
+    MAX_FRAME_BYTES, MAX_NODES, MAX_PATTERNS, MAX_YEARS,
 };
 pub use server::{spawn, Endpoint, ServeConfig, ServerHandle};
 pub use state::{CacheOutcome, ServerState, SNAPSHOT_KEY};
 
-use agemul_conformance::Json;
+use agemul_codec::Json;
 use std::io::{Read, Write};
 
 /// A minimal blocking client helper: writes `request` as one frame and

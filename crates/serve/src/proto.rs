@@ -2,8 +2,8 @@
 //!
 //! Each frame is a big-endian `u32` byte length followed by one UTF-8
 //! JSON document (the dependency-free [`Json`] model from
-//! `agemul-conformance`, whose distinct `u64` variant keeps workload
-//! seeds lossless). A frame carries either a single request object or a
+//! `agemul-codec`, whose distinct `u64` variant keeps workload seeds
+//! lossless). A frame carries either a single request object or a
 //! `{"op":"batch","requests":[...]}` envelope; responses mirror the
 //! shape. Frames above [`MAX_FRAME_BYTES`] are rejected before any
 //! allocation, so a corrupt length prefix cannot balloon the server.
@@ -11,12 +11,34 @@
 use std::io::{self, Read, Write};
 
 use agemul_circuits::MultiplierKind;
-use agemul_conformance::Json;
+use agemul_codec::Json;
 
 /// Upper bound on one frame's payload (16 MiB) — far above any legitimate
 /// request or response, small enough that a garbage length prefix fails
 /// fast instead of allocating gigabytes.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
+// Upper bounds on the size fields of a request. A request is decoded into
+// allocations sized by these fields (the workload's operand pairs, one
+// profile per fault, corner or node, one outcome per lifetime point), and
+// a failed allocation aborts the whole process, beyond the reach of the
+// per-request panic isolation. Each bound sits far above what the tree's
+// clients send (hundreds to a few thousand patterns, seven years).
+
+/// Upper bound on `patterns`: operand pairs in the workload (operations
+/// per epoch for `fleet`).
+pub const MAX_PATTERNS: usize = 1 << 16;
+/// Upper bound on a campaign's `faults`.
+pub const MAX_FAULTS: usize = 1 << 10;
+/// Upper bound on a Monte Carlo campaign's `corners`.
+pub const MAX_CORNERS: usize = 1 << 12;
+/// Upper bound on a fleet's `nodes`.
+pub const MAX_NODES: usize = 1 << 10;
+/// Upper bound on a fleet's `epochs`.
+pub const MAX_EPOCHS: usize = 1 << 12;
+/// Upper bound on `years` (a Monte Carlo campaign evaluates every integer
+/// lifetime point up to it).
+pub const MAX_YEARS: f64 = 100.0;
 
 /// Writes one frame: big-endian `u32` length, then the JSON text.
 ///
@@ -202,21 +224,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Json>> {
     }
 }
 
-/// Parses a multiplier-kind label (`AM`, `CB`, `RB`, `WAL`, `BOOTH`).
-///
-/// # Errors
-///
-/// Describes the unknown label and lists the valid ones.
-pub fn parse_kind(label: &str) -> Result<MultiplierKind, String> {
-    MultiplierKind::ALL
-        .into_iter()
-        .find(|k| k.label() == label)
-        .ok_or_else(|| {
-            let valid: Vec<&str> = MultiplierKind::ALL.iter().map(|k| k.label()).collect();
-            format!("unknown kind {label:?} (want one of {})", valid.join(", "))
-        })
-}
-
 /// The design/workload coordinates shared by every simulation op: which
 /// multiplier, how aged, and which seed-derived uniform workload.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -310,39 +317,37 @@ pub struct Request {
     pub body: RequestBody,
 }
 
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+/// The count field `key`, which must lie in `1..=max`; `zero` is the
+/// error for 0.
+fn bounded_count(v: &Json, key: &str, max: usize, zero: &str) -> Result<usize, String> {
+    match v.field_u64(key)? {
+        0 => Err(zero.into()),
+        n if n > max as u64 => Err(format!("{key} must be at most {max}, got {n}")),
+        n => Ok(n as usize),
+    }
 }
 
-fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
+fn skip_from_json(v: &Json) -> Result<u32, String> {
+    u32::try_from(v.field_u64("skip")?).map_err(|_| "skip out of u32 range".to_string())
 }
 
 fn query_from_json(v: &Json) -> Result<DesignQuery, String> {
-    let kind = parse_kind(
-        v.get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing or non-string field \"kind\"".to_string())?,
-    )?;
-    let width = get_u64(v, "width")? as usize;
+    let kind = MultiplierKind::from_label(v.field_str("kind")?)?;
+    let width = v.field_u64("width")? as usize;
     if width == 0 {
         return Err("width must be positive".into());
     }
-    let years = get_f64(v, "years")?;
+    let years = v.field_f64("years")?;
     if !years.is_finite() || years < 0.0 {
         return Err(format!(
             "years must be finite and non-negative, got {years}"
         ));
     }
-    let patterns = get_u64(v, "patterns")? as usize;
-    if patterns == 0 {
-        return Err("patterns must be positive".into());
+    if years > MAX_YEARS {
+        return Err(format!("years must be at most {MAX_YEARS}, got {years}"));
     }
-    let seed = get_u64(v, "seed")?;
+    let patterns = bounded_count(v, "patterns", MAX_PATTERNS, "patterns must be positive")?;
+    let seed = v.field_u64("seed")?;
     Ok(DesignQuery {
         kind,
         width,
@@ -372,7 +377,7 @@ impl Request {
     /// nothing would quarantine every attempt; omit the field to disable
     /// the deadline.
     pub fn from_json(v: &Json) -> Result<Request, String> {
-        let id = get_u64(v, "id")?;
+        let id = v.field_u64("id")?;
         let deadline_ms = match v.get("deadline_ms") {
             None | Some(Json::Null) => None,
             Some(x) => {
@@ -388,11 +393,7 @@ impl Request {
                 Some(ms)
             }
         };
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing or non-string field \"op\"".to_string())?;
-        let body = match op {
+        let body = match v.field_str("op")? {
             "profile" => RequestBody::Profile(query_from_json(v)?),
             "sweep" => {
                 let raw = v
@@ -413,29 +414,23 @@ impl Request {
                 RequestBody::Sweep {
                     query: query_from_json(v)?,
                     periods,
-                    skip: u32::try_from(get_u64(v, "skip")?)
-                        .map_err(|_| "skip out of u32 range".to_string())?,
+                    skip: skip_from_json(v)?,
                 }
             }
             "campaign" => {
-                let faults = get_u64(v, "faults")? as usize;
-                if faults == 0 {
-                    return Err("campaign needs at least one fault".into());
-                }
+                let faults =
+                    bounded_count(v, "faults", MAX_FAULTS, "campaign needs at least one fault")?;
                 RequestBody::Campaign {
                     query: query_from_json(v)?,
                     faults,
-                    fault_seed: get_u64(v, "fault_seed")?,
-                    skip: u32::try_from(get_u64(v, "skip")?)
-                        .map_err(|_| "skip out of u32 range".to_string())?,
+                    fault_seed: v.field_u64("fault_seed")?,
+                    skip: skip_from_json(v)?,
                 }
             }
             "mc" => {
-                let corners = get_u64(v, "corners")? as usize;
-                if corners == 0 {
-                    return Err("mc needs at least one corner".into());
-                }
-                let sigma = get_f64(v, "sigma")?;
+                let corners =
+                    bounded_count(v, "corners", MAX_CORNERS, "mc needs at least one corner")?;
+                let sigma = v.field_f64("sigma")?;
                 if !sigma.is_finite() || sigma < 0.0 {
                     return Err(format!(
                         "sigma must be finite and non-negative, got {sigma}"
@@ -445,32 +440,21 @@ impl Request {
                     query: query_from_json(v)?,
                     corners,
                     sigma,
-                    mc_seed: get_u64(v, "mc_seed")?,
-                    skip: u32::try_from(get_u64(v, "skip")?)
-                        .map_err(|_| "skip out of u32 range".to_string())?,
+                    mc_seed: v.field_u64("mc_seed")?,
+                    skip: skip_from_json(v)?,
                 }
             }
             "fleet" => {
-                let nodes = get_u64(v, "nodes")? as usize;
-                if nodes == 0 {
-                    return Err("fleet needs at least one node".into());
-                }
-                let epochs = get_u64(v, "epochs")? as usize;
-                if epochs == 0 {
-                    return Err("fleet needs at least one epoch".into());
-                }
-                let policy = v
-                    .get("policy")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "missing or non-string field \"policy\"".to_string())?
-                    .to_string();
+                let nodes = bounded_count(v, "nodes", MAX_NODES, "fleet needs at least one node")?;
+                let epochs =
+                    bounded_count(v, "epochs", MAX_EPOCHS, "fleet needs at least one epoch")?;
+                let policy = v.field_str("policy")?.to_string();
                 RequestBody::Fleet {
                     query: query_from_json(v)?,
                     nodes,
                     epochs,
                     policy,
-                    skip: u32::try_from(get_u64(v, "skip")?)
-                        .map_err(|_| "skip out of u32 range".to_string())?,
+                    skip: skip_from_json(v)?,
                 }
             }
             "stats" => RequestBody::Stats,
@@ -733,6 +717,77 @@ mod tests {
             let err = Request::from_json(&doc).unwrap_err();
             assert!(err.contains(needle), "{err:?} lacks {needle:?}");
         }
+    }
+
+    /// A request whose size field `field` is `n` (the others minimal).
+    fn sized(field: &str, n: usize) -> Request {
+        let fleet = |nodes, epochs| RequestBody::Fleet {
+            query: query(),
+            nodes,
+            epochs,
+            policy: "round-robin".into(),
+            skip: 7,
+        };
+        let body = match field {
+            "patterns" => RequestBody::Profile(DesignQuery {
+                patterns: n,
+                ..query()
+            }),
+            "faults" => RequestBody::Campaign {
+                query: query(),
+                faults: n,
+                fault_seed: 1,
+                skip: 7,
+            },
+            "corners" => RequestBody::Mc {
+                query: query(),
+                corners: n,
+                sigma: 0.05,
+                mc_seed: 1,
+                skip: 7,
+            },
+            "nodes" => fleet(n, 1),
+            "epochs" => fleet(1, n),
+            other => unreachable!("{other}"),
+        };
+        Request {
+            id: 1,
+            deadline_ms: None,
+            body,
+        }
+    }
+
+    /// Every size field decodes at its bound and is refused one past it,
+    /// with the field named in the error.
+    #[test]
+    fn size_fields_are_bounded() {
+        for (field, max) in [
+            ("patterns", MAX_PATTERNS),
+            ("faults", MAX_FAULTS),
+            ("corners", MAX_CORNERS),
+            ("nodes", MAX_NODES),
+            ("epochs", MAX_EPOCHS),
+        ] {
+            let at_limit = sized(field, max);
+            assert_eq!(Request::from_json(&at_limit.to_json()), Ok(at_limit));
+            let err = Request::from_json(&sized(field, max + 1).to_json()).unwrap_err();
+            assert_eq!(
+                err,
+                format!("{field} must be at most {max}, got {}", max + 1)
+            );
+        }
+
+        let aged = |years| {
+            Request {
+                id: 1,
+                deadline_ms: None,
+                body: RequestBody::Profile(DesignQuery { years, ..query() }),
+            }
+            .to_json()
+        };
+        assert!(Request::from_json(&aged(MAX_YEARS)).is_ok());
+        let err = Request::from_json(&aged(MAX_YEARS + 1.0)).unwrap_err();
+        assert_eq!(err, "years must be at most 100, got 101");
     }
 
     #[test]

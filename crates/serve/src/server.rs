@@ -27,12 +27,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use agemul::{EngineConfig, McConfig, McReport, MonteCarloCampaign, PeriodSweep, SimEngine};
-use agemul_conformance::Json;
+use agemul_codec::Json;
 use agemul_faults::{Campaign, FaultSpec};
 use agemul_fleet::{FleetCampaign, FleetConfig, FleetPolicy, FleetSim, RoutingPolicy};
-use agemul_harness::{
-    is_cancellation, run_request_supervised, Attempt, CaseError, CaseStatus, SupervisorConfig,
-};
+use agemul_harness::{run_request_supervised, Attempt, CaseError, CaseStatus, SupervisorConfig};
 
 use agemul_chaos::ChaosStream;
 
@@ -838,13 +836,7 @@ fn eval_campaign(
     let workload = state.workload(query.width, query.patterns, query.seed);
     let specs = FaultSpec::sample(&design, workload.pairs().len(), faults, fault_seed);
     let campaign = Campaign::prepare_cached(&design, workload.pairs(), &specs, state.cache())
-        .map_err(|e| {
-            if is_cancellation(&e) {
-                CaseError::Cancelled
-            } else {
-                CaseError::Failed(e.to_string())
-            }
-        })?;
+        .map_err(|e| CaseError::from_error(&e))?;
     let cycle_ns = 0.95
         * design
             .critical_delay_ns(None)
@@ -852,14 +844,6 @@ fn eval_campaign(
     let report = campaign.run(&EngineConfig::adaptive(cycle_ns, skip));
     Json::parse(&report.to_json())
         .map_err(|e| CaseError::Failed(format!("campaign report serialization: {e}")))
-}
-
-fn core_to_case(e: agemul::CoreError) -> CaseError {
-    if is_cancellation(&e) {
-        CaseError::Cancelled
-    } else {
-        CaseError::Failed(e.to_string())
-    }
 }
 
 /// Runs a Monte Carlo yield campaign: `corners` sampled dies, each
@@ -888,18 +872,20 @@ fn eval_mc(
     config.skip = skip;
     config.years = (0..=query.years.floor() as u64).map(|y| y as f64).collect();
     let campaign = MonteCarloCampaign::new(&design, workload.pairs(), state.bti(), config)
-        .map_err(core_to_case)?;
+        .map_err(|e| CaseError::from_error(&e))?;
 
     let cancel = attempt.cancel.as_ref();
     let report = match attempt.engine {
-        SimEngine::Level => campaign.run(cancel).map_err(core_to_case)?,
+        SimEngine::Level => campaign
+            .run(cancel)
+            .map_err(|e| CaseError::from_error(&e))?,
         SimEngine::Event => {
             let mut outcomes = Vec::with_capacity(corners);
             for c in 0..corners {
                 outcomes.push(
                     campaign
                         .run_corner_from_scratch(c, SimEngine::Event, cancel)
-                        .map_err(core_to_case)?,
+                        .map_err(|e| CaseError::from_error(&e))?,
                 );
             }
             McReport {
@@ -962,11 +948,12 @@ fn eval_fleet(
     config.skip = skip;
     config.years_per_epoch = query.years;
     config.policy = FleetPolicy::baseline(routing);
-    let campaign = FleetCampaign::new(&design, state.bti(), config).map_err(core_to_case)?;
+    let campaign =
+        FleetCampaign::new(&design, state.bti(), config).map_err(|e| CaseError::from_error(&e))?;
     let mut sim = FleetSim::new(&campaign);
     let summary = sim
         .run(attempt.engine, attempt.cancel.as_ref())
-        .map_err(core_to_case)?;
+        .map_err(|e| CaseError::from_error(&e))?;
     Ok(summary.to_json())
 }
 
@@ -1051,14 +1038,14 @@ mod tests {
         }
     }
 
-    fn frame_bytes(msg: &agemul_conformance::Json) -> Vec<u8> {
+    fn frame_bytes(msg: &agemul_codec::Json) -> Vec<u8> {
         let mut buf = Vec::new();
         write_frame(&mut buf, msg).unwrap();
         buf
     }
 
-    fn stats_request() -> agemul_conformance::Json {
-        agemul_conformance::Json::parse(r#"{"op":"stats","id":1}"#).unwrap()
+    fn stats_request() -> agemul_codec::Json {
+        agemul_codec::Json::parse(r#"{"op":"stats","id":1}"#).unwrap()
     }
 
     fn bound() -> Bound {
@@ -1105,14 +1092,12 @@ mod tests {
         let bytes = written.lock().unwrap().clone();
         let response = read_frame(&mut &bytes[..]).unwrap().unwrap();
         assert_eq!(
-            response
-                .get("ok")
-                .and_then(agemul_conformance::Json::as_bool),
+            response.get("ok").and_then(agemul_codec::Json::as_bool),
             Some(false)
         );
         let error = response
             .get("error")
-            .and_then(agemul_conformance::Json::as_str)
+            .and_then(agemul_codec::Json::as_str)
             .unwrap();
         assert!(error.contains("slow client"), "got: {error}");
     }
@@ -1142,9 +1127,7 @@ mod tests {
         let bytes = written.lock().unwrap().clone();
         let response = read_frame(&mut &bytes[..]).unwrap().unwrap();
         assert_eq!(
-            response
-                .get("ok")
-                .and_then(agemul_conformance::Json::as_bool),
+            response.get("ok").and_then(agemul_codec::Json::as_bool),
             Some(true),
             "idle client must still be served: {response}"
         );

@@ -19,7 +19,7 @@ use agemul::{
 };
 use agemul_aging::{aging_factors, BtiModel};
 use agemul_circuits::MultiplierKind;
-use agemul_conformance::Json;
+use agemul_codec::Json;
 use agemul_harness::{
     is_cancellation, profile_from_json, profile_to_json, CaseRecord, CaseStatus, Checkpoint,
 };
@@ -27,7 +27,7 @@ use agemul_logic::Technology;
 use agemul_netlist::WorkloadStats;
 
 use crate::flight::{FlightError, FlightRole, SingleFlight};
-use crate::proto::{parse_kind, DesignQuery};
+use crate::proto::DesignQuery;
 
 /// Per-gate seven-year delay-factor target for the calibrated BTI model —
 /// the same anchor the repro `Context` uses, so a served profile matches
@@ -448,39 +448,27 @@ impl ServerState {
             let CaseStatus::Done { value } = &record.status else {
                 continue;
             };
-            let kind = parse_kind(
-                value
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("snapshot entry {} has no kind", record.index))?,
-            )?;
-            let entry = CacheEntry {
-                kind,
-                width: value
-                    .get("width")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("snapshot entry {} has no width", record.index))?
-                    as usize,
-                delay_fingerprint: value
-                    .get("delay_fp")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("snapshot entry {} has no delay_fp", record.index))?,
-                workload_fingerprint: value
-                    .get("workload_fp")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("snapshot entry {} has no workload_fp", record.index))?,
-                profile: Arc::new(
-                    profile_from_json(value.get("profile").ok_or_else(|| {
-                        format!("snapshot entry {} has no profile", record.index)
-                    })?)
-                    .map_err(|e| format!("snapshot entry {}: {e}", record.index))?,
-                ),
-            };
+            let entry = entry_from_json(value)
+                .map_err(|e| format!("snapshot entry {}: {e}", record.index))?;
             self.cache.seed_entry(&entry);
             seeded += 1;
         }
         Ok(seeded)
     }
+}
+
+/// Decodes one warm-start snapshot entry written by
+/// [`ServerState::save_snapshot`].
+fn entry_from_json(value: &Json) -> Result<CacheEntry, String> {
+    Ok(CacheEntry {
+        kind: MultiplierKind::from_label(value.field_str("kind")?)?,
+        width: value.field_u64("width")? as usize,
+        delay_fingerprint: value.field_u64("delay_fp")?,
+        workload_fingerprint: value.field_u64("workload_fp")?,
+        profile: Arc::new(profile_from_json(
+            value.get("profile").ok_or("missing profile")?,
+        )?),
+    })
 }
 
 #[cfg(test)]

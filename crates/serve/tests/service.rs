@@ -7,7 +7,7 @@ use std::sync::Barrier;
 
 use agemul::SimEngine;
 use agemul_circuits::MultiplierKind;
-use agemul_conformance::Json;
+use agemul_codec::Json;
 use agemul_serve::{
     roundtrip, spawn, CacheOutcome, DesignQuery, Endpoint, ServeConfig, ServerState,
 };

@@ -1,20 +1,26 @@
 # Developer entry points. `just verify` is the pre-merge gate; it is also
 # available as `scripts/verify.sh` for environments without `just`.
 
-# Format check + clippy (all features, warnings fatal) + full test suite +
+# Format check + clippy (all features, warnings fatal) + the dependency and
+# single-definition check + full test suite +
 # a quick fault-injection campaign smoke run + the timing-kernel
 # equivalence smoke + the incremental-vs-full re-profiling equivalence +
 # the seeded cross-engine conformance smoke + the incremental sweep smoke
 # + the supervised kill/resume soak smoke + the resident-service smoke
 # + the seeded Monte Carlo campaign smoke + the fleet replay/policy smoke
 # + the deterministic chaos/overload smoke.
-verify: fmt-check clippy test fault-smoke timing-equiv incremental-equiv conformance sweep-smoke soak-smoke serve-smoke mc-smoke fleet-smoke chaos-smoke
+verify: fmt-check clippy deps-check test fault-smoke timing-equiv incremental-equiv conformance sweep-smoke soak-smoke serve-smoke mc-smoke fleet-smoke chaos-smoke
 
 fmt-check:
 	cargo fmt --all -- --check
 
 clippy:
 	cargo clippy --workspace --all-targets --all-features -- -D warnings
+
+# No production dependency on the conformance oracle outside repro/bench,
+# and the SplitMix64/FNV-1a constants defined only in crates/codec.
+deps-check:
+	scripts/deps_check.sh
 
 # Tier-1 gate: release build + full test suite.
 test:

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Pre-merge gate, mirroring `just verify`: format check, clippy with all
-# features and fatal warnings, then the tier-1 build + test suite.
+# features and fatal warnings, the dependency and single-definition check,
+# then the tier-1 build + test suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --all-features -- -D warnings
+# No production dependency on the conformance oracle outside repro/bench,
+# and the SplitMix64/FNV-1a constants defined only in crates/codec.
+scripts/deps_check.sh
 cargo build --release --workspace
 cargo test -q --workspace
 # Fault-campaign smoke: a reduced-scale end-to-end injection run.
