@@ -16,7 +16,9 @@
 //!
 //! Equal keys therefore mean equal profiles (up to 64-bit fingerprint
 //! collision), and a hit returns the cached [`Arc`] without touching a
-//! simulator.
+//! simulator. The key is a [`ProfileKey`]; a caller that can name a
+//! question's key without rebuilding its delays keeps it and looks up with
+//! [`ProfileCache::get_or_insert_keyed`].
 //!
 //! # Sharding, bounding, and poison recovery
 //!
@@ -103,12 +105,32 @@ fn kind_tag(kind: MultiplierKind) -> u64 {
     }
 }
 
+/// The exact key of one cached profile: (kind, width, delay-assignment
+/// fingerprint, workload fingerprint).
+///
+/// [`ProfileKey::new`] is the one place either fingerprint is computed.
+/// Deriving a key costs a pass over every gate delay and every operand
+/// pair, so a caller that asks the same question repeatedly (the resident
+/// server) derives it once, keeps it, and looks it up with
+/// [`ProfileCache::get_or_insert_keyed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct CacheKey {
+pub struct ProfileKey {
     kind: MultiplierKind,
     width: usize,
     delay_fingerprint: u64,
     workload_fingerprint: u64,
+}
+
+impl ProfileKey {
+    /// The key of `design` profiled over `pairs` under `delays`.
+    pub fn new(design: &MultiplierDesign, delays: &DelayAssignment, pairs: &[(u64, u64)]) -> Self {
+        ProfileKey {
+            kind: design.kind(),
+            width: design.width(),
+            delay_fingerprint: delays.fingerprint(),
+            workload_fingerprint: workload_fingerprint(pairs),
+        }
+    }
 }
 
 /// Lock-free tallies for one shard (the shard mutex is *not* held while
@@ -148,7 +170,7 @@ struct Entry {
 /// One shard: a map plus the shard-local LRU clock.
 #[derive(Default)]
 struct Shard {
-    map: HashMap<CacheKey, Entry>,
+    map: HashMap<ProfileKey, Entry>,
     clock: u64,
 }
 
@@ -348,7 +370,7 @@ impl ProfileCache {
     /// the hit/miss counters nor eviction stats count the insert; a full
     /// shard evicts as usual.
     pub fn seed_entry(&self, entry: &CacheEntry) {
-        let key = CacheKey {
+        let key = ProfileKey {
             kind: entry.kind,
             width: entry.width,
             delay_fingerprint: entry.delay_fingerprint,
@@ -371,7 +393,7 @@ impl ProfileCache {
     /// overflow a bounded shard. (No-op when `incoming` is already
     /// present — a replace does not grow the map.) `index` is the shard's
     /// position, used only to tally the eviction.
-    fn evict_if_full(&self, index: usize, shard: &mut Shard, incoming: &CacheKey) {
+    fn evict_if_full(&self, index: usize, shard: &mut Shard, incoming: &ProfileKey) {
         if self.capacity == 0 || shard.map.len() < self.capacity || shard.map.contains_key(incoming)
         {
             return;
@@ -439,12 +461,26 @@ impl ProfileCache {
         pairs: &[(u64, u64)],
         build: impl FnOnce() -> Result<PatternProfile, E>,
     ) -> Result<Arc<PatternProfile>, E> {
-        let key = CacheKey {
-            kind: design.kind(),
-            width: design.width(),
-            delay_fingerprint: delays.fingerprint(),
-            workload_fingerprint: workload_fingerprint(pairs),
-        };
+        self.get_or_insert_keyed(ProfileKey::new(design, delays, pairs), build)
+    }
+
+    /// Looks up the profile under an already derived `key`, building it
+    /// with `build` and caching it on a miss. Nothing here is proportional
+    /// to the design or workload size: a hit is one shard lock and one map
+    /// probe.
+    ///
+    /// The caller promises that `key` is [`ProfileKey::new`] of the design,
+    /// delay assignment and workload that `build` profiles. Everything else
+    /// is as in [`get_or_insert_with`](Self::get_or_insert_with).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `build` errors; errors are not cached.
+    pub fn get_or_insert_keyed<E>(
+        &self,
+        key: ProfileKey,
+        build: impl FnOnce() -> Result<PatternProfile, E>,
+    ) -> Result<Arc<PatternProfile>, E> {
         let index = Self::shard_index(key.kind, key.width);
         {
             let mut shard = self.lock_shard(index);

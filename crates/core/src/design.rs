@@ -16,7 +16,7 @@ use crate::{calibrated_delay_model, count_zeros, CoreError, PatternProfile, Patt
 /// crate defaults to [`Level`](SimEngine::Level) — the explicit selector
 /// exists for benchmarks and cross-checks that want the event-driven
 /// reference on the same workload.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SimEngine {
     /// Priority-queue event-driven kernel ([`EventSim`]) — the reference.
     Event,

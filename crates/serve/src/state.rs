@@ -7,7 +7,9 @@
 //! poison-recovering locks and `Arc`s so hundreds of concurrent requests
 //! share one copy of everything. Profiles go through the sharded
 //! [`ProfileCache`] *behind* a [`SingleFlight`] coalescer, so N identical
-//! cold requests cost one simulation, not N racing ones.
+//! cold requests cost one simulation, not N racing ones. Each question's
+//! cache key is derived once and memoized, so a warm hit costs a few map
+//! probes whatever the design size.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -15,7 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use agemul::{
     quantize_factors, CacheEntry, CancelToken, MultiplierDesign, PatternProfile, PatternSet,
-    ProfileCache, SimEngine,
+    ProfileCache, ProfileKey, SimEngine,
 };
 use agemul_aging::{aging_factors, BtiModel};
 use agemul_circuits::MultiplierKind;
@@ -68,24 +70,39 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Keyed store of workload statistics: (kind, width, patterns, seed).
 type StatsMap = HashMap<(MultiplierKind, usize, usize, u64), Arc<WorkloadStats>>;
-/// Keyed store of aging factors: (kind, width, patterns, seed, years).
-type FactorsMap = HashMap<(MultiplierKind, usize, usize, u64, u32), Arc<Vec<f64>>>;
 
-fn years_key(years: f64) -> u32 {
-    (years * 100.0).round() as u32
-}
-
-/// Single-flight key: one in-flight simulation per design × aging epoch ×
-/// workload × engine.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct FlightKey {
+/// The exact question a `profile` request asks: design, aging epoch and
+/// workload. `years` is kept at full `f64` precision (its bit pattern,
+/// with `-0.0` folded onto `0.0`), because the aging factors are computed
+/// from the unrounded value.
+///
+/// Within one [`ServerState`] the question determines the answer's
+/// [`ProfileKey`]: the BTI model is fixed, and the design, workload,
+/// workload statistics and aging factors are deterministic functions of
+/// these coordinates.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct QueryKey {
     kind: MultiplierKind,
     width: usize,
-    years_c: u32,
+    years_bits: u64,
     patterns: usize,
     seed: u64,
-    engine: u8,
 }
+
+impl QueryKey {
+    fn new(query: &DesignQuery) -> Self {
+        QueryKey {
+            kind: query.kind,
+            width: query.width,
+            years_bits: (query.years + 0.0).to_bits(),
+            patterns: query.patterns,
+            seed: query.seed,
+        }
+    }
+}
+
+/// Single-flight key: one in-flight simulation per question × engine.
+type FlightKey = (QueryKey, SimEngine);
 
 /// The server's shared artifact store. Cheap lookups (designs, workloads,
 /// stats, factors) live in plain poison-recovering maps; profiles — the
@@ -98,7 +115,9 @@ pub struct ServerState {
     designs: Mutex<HashMap<(MultiplierKind, usize), Arc<MultiplierDesign>>>,
     workloads: Mutex<HashMap<(usize, usize, u64), Arc<PatternSet>>>,
     stats: Mutex<StatsMap>,
-    factors: Mutex<FactorsMap>,
+    factors: Mutex<HashMap<QueryKey, Arc<Vec<f64>>>>,
+    /// Each question's cache key, derived on its first `profile` request.
+    keys: Mutex<HashMap<QueryKey, ProfileKey>>,
     /// Connections shed by the acceptor with a typed `overloaded`
     /// response (surfaced in the `stats` op).
     shed: std::sync::atomic::AtomicU64,
@@ -132,6 +151,7 @@ impl ServerState {
             workloads: Mutex::new(HashMap::new()),
             stats: Mutex::new(HashMap::new()),
             factors: Mutex::new(HashMap::new()),
+            keys: Mutex::new(HashMap::new()),
             shed: std::sync::atomic::AtomicU64::new(0),
             chaos_scope: scope,
         }
@@ -217,13 +237,7 @@ impl ServerState {
         if query.years <= 0.0 {
             return Ok(None);
         }
-        let key = (
-            query.kind,
-            query.width,
-            query.patterns,
-            query.seed,
-            years_key(query.years),
-        );
+        let key = QueryKey::new(query);
         if let Some(f) = lock(&self.factors).get(&key) {
             return Ok(Some(Arc::clone(f)));
         }
@@ -259,9 +273,42 @@ impl ServerState {
         Ok(Arc::clone(s))
     }
 
+    /// The query's aging factors snapped onto the cache's quantization
+    /// grid (`None` for a fresh design).
+    fn quantized_factors(&self, query: &DesignQuery) -> Result<Option<Vec<f64>>, String> {
+        Ok(self.factors(query)?.map(|f| quantize_factors(&f)))
+    }
+
+    /// Derives the query's cache key from scratch: factors, quantization,
+    /// delay assignment and both fingerprints. The quantized factors are
+    /// returned too, so a miss builds from them instead of recomputing.
+    fn derive_key(&self, query: &DesignQuery) -> Result<(ProfileKey, Option<Vec<f64>>), String> {
+        let design = self.design(query.kind, query.width)?;
+        let quantized = self.quantized_factors(query)?;
+        let delays = design
+            .delay_assignment(quantized.as_deref())
+            .map_err(|e| e.to_string())?;
+        let workload = self.workload(query.width, query.patterns, query.seed);
+        Ok((
+            ProfileKey::new(&design, &delays, workload.pairs()),
+            quantized,
+        ))
+    }
+
+    /// The cache key memoized for `query`, once a `profile` request has
+    /// asked it.
+    pub fn memoized_key(&self, query: &DesignQuery) -> Option<ProfileKey> {
+        lock(&self.keys).get(&QueryKey::new(query)).copied()
+    }
+
     /// The query's timing profile: through the single-flight coalescer,
     /// then the sharded cache, simulating (on `engine`, under `cancel`)
     /// only on a true miss. Returns the profile and how it was obtained.
+    ///
+    /// The cache key is derived once per question and memoized, so a hit
+    /// on a question asked before does no work proportional to the design
+    /// or workload size: no aging factors, delay assignment or
+    /// fingerprint.
     ///
     /// # Errors
     ///
@@ -275,29 +322,19 @@ impl ServerState {
         engine: SimEngine,
         cancel: Option<&CancelToken>,
     ) -> Result<(Arc<PatternProfile>, CacheOutcome), FlightError> {
-        let design = self
-            .design(query.kind, query.width)
-            .map_err(FlightError::Build)?;
-        let factors = self.factors(query).map_err(FlightError::Build)?;
-        let quantized = factors.map(|f| quantize_factors(&f));
-        let delays = design
-            .delay_assignment(quantized.as_deref())
-            .map_err(|e| FlightError::Build(e.to_string()))?;
-        let workload = self.workload(query.width, query.patterns, query.seed);
-
-        let flight_key = FlightKey {
-            kind: query.kind,
-            width: query.width,
-            years_c: years_key(query.years),
-            patterns: query.patterns,
-            seed: query.seed,
-            engine: match engine {
-                SimEngine::Level => 0,
-                SimEngine::Event => 1,
-            },
+        let question = QueryKey::new(query);
+        let memoized = lock(&self.keys).get(&question).copied();
+        let (key, derived) = match memoized {
+            Some(key) => (key, None),
+            None => {
+                let (key, quantized) = self.derive_key(query).map_err(FlightError::Build)?;
+                lock(&self.keys).insert(question, key);
+                (key, Some(quantized))
+            }
         };
+
         let simulated = std::cell::Cell::new(false);
-        let (outcome, role) = self.flight.run(flight_key, || {
+        let (outcome, role) = self.flight.run((question, engine), || {
             // Chaos failpoint `serve/build`: the leader dies *inside* the
             // build closure — between the flight's own lead/publish sites —
             // exercising the cache's exception safety under the coalescer.
@@ -312,23 +349,26 @@ impl ServerState {
                     ),
                 );
             }
-            self.cache
-                .get_or_insert_with(&design, &delays, workload.pairs(), || {
-                    simulated.set(true);
-                    design.profile_supervised(
-                        workload.pairs(),
-                        quantized.as_deref(),
-                        engine,
-                        cancel,
-                    )
-                })
-                .map_err(|e| {
-                    if is_cancellation(&e) {
-                        FlightError::Cancelled
-                    } else {
-                        FlightError::Build(e.to_string())
-                    }
-                })
+            self.cache.get_or_insert_keyed(key, || {
+                simulated.set(true);
+                let quantized = match derived {
+                    Some(quantized) => quantized,
+                    None => self.quantized_factors(query).map_err(FlightError::Build)?,
+                };
+                let design = self
+                    .design(query.kind, query.width)
+                    .map_err(FlightError::Build)?;
+                let workload = self.workload(query.width, query.patterns, query.seed);
+                design
+                    .profile_supervised(workload.pairs(), quantized.as_deref(), engine, cancel)
+                    .map_err(|e| {
+                        if is_cancellation(&e) {
+                            FlightError::Cancelled
+                        } else {
+                            FlightError::Build(e.to_string())
+                        }
+                    })
+            })
         });
         let profile = outcome?;
         let how = match role {

@@ -50,12 +50,14 @@ timing-equiv:
 
 # Incremental-vs-full equivalence: the AgingSweep year stepper must be
 # byte-identical to from-scratch profiling, the quantized cache key must
-# agree with the sweep's diff threshold, and the repro sweep drivers must
-# emit identical tables.
+# agree with the sweep's diff threshold, the repro sweep drivers must
+# emit identical tables, and the server's per-question cache keys must
+# match keys derived from scratch (with `years` keyed exactly).
 incremental-equiv:
 	cargo test -q -p agemul aging_sweep
 	cargo test -q -p agemul sub_threshold_aging_step_hits_coherently
 	cargo test -q -p agemul-repro incremental_and_baseline_drivers_agree
+	cargo test -q -p agemul-serve --test years_key --test profile_memo
 
 # Incremental sweep smoke: the 7-year × 17-period driver study at reduced
 # scale. The experiment itself asserts the sweep counters (exactly one
@@ -102,6 +104,11 @@ bench-sim:
 # wide-lane verification rows.
 bench-profile:
 	cargo bench -p agemul-bench --bench profile
+
+# Resident-server hit bench: a warmed `ServerState::profile` hit on CB32
+# aged seven years; see the `serve/CB32_7y_hit` row in BENCH_sim.json.
+bench-serve:
+	cargo bench -p agemul-bench --bench serve
 
 # Aging-sweep driver benches: incremental vs from-scratch over the
 # 7-year × 17-period grid; see BENCH_sim.json for the record.
