@@ -533,18 +533,38 @@ impl MultiplierDesign {
         Ok(())
     }
 
-    /// Collects workload statistics (signal probabilities for the aging
-    /// model and switching activity for the power model) over `pairs`.
+    /// Signal probabilities of every net over `pairs`: the stress input
+    /// `α(S)` of the BTI aging model, and all that
+    /// [`aging_factors`](agemul_aging::aging_factors) and
+    /// [`stress_probabilities`](agemul_aging::stress_probabilities) read.
     ///
-    /// Signal probabilities come from a bit-parallel functional sweep (64
-    /// patterns per pass); toggle counts from a timed [`LevelSim`] run with
-    /// nominal delays (toggle-identical to the event-driven reference).
-    /// With the `parallel` feature the functional sweep is fanned out over
-    /// pattern chunks and merged in workload order — the accumulated
-    /// statistics are bit-identical to the serial path. The timed half
-    /// stays a single sequential simulation by design: its tri-state hold
-    /// semantics make every step depend on the previous pattern's settled
-    /// state.
+    /// One bit-parallel functional sweep (64 patterns per pass) with no
+    /// timed simulation, so switching activity is left unrecorded
+    /// ([`WorkloadStats::toggle_pattern_count`] is 0). The probabilities
+    /// are bit-identical to those of [`workload_stats`](Self::workload_stats),
+    /// which runs this same sweep before its toggle pass. With the
+    /// `parallel` feature the sweep is fanned out over pattern chunks and
+    /// merged in workload order, with bit-identical sums.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Circuit`] if an operand overflows the width.
+    pub fn signal_stats(&self, pairs: &[(u64, u64)]) -> Result<WorkloadStats, CoreError> {
+        self.probability_sweep(pairs, LaneWidth::default())
+            .map(|(stats, _)| stats)
+    }
+
+    /// Full workload statistics over `pairs`: the signal probabilities of
+    /// [`signal_stats`](Self::signal_stats) plus per-gate switching
+    /// activity, which only the power and electromigration models read.
+    ///
+    /// Toggle counts come from a timed [`LevelSim`] run with nominal
+    /// delays (toggle-identical to the event-driven reference), glitches
+    /// included. That pass stays a single sequential simulation by
+    /// design: its tri-state hold semantics make every step depend on the
+    /// previous pattern's settled state. It costs about as much as a
+    /// timing profile of the same workload, so callers that only age a
+    /// design should use [`signal_stats`](Self::signal_stats).
     ///
     /// # Errors
     ///
@@ -567,18 +587,7 @@ impl MultiplierDesign {
         pairs: &[(u64, u64)],
         width: LaneWidth,
     ) -> Result<WorkloadStats, CoreError> {
-        let mut stats = WorkloadStats::new(self.circuit.netlist());
-        let encoded: Result<Vec<Vec<Logic>>, CoreError> = pairs
-            .iter()
-            .map(|&(a, b)| self.circuit.encode_inputs(a, b).map_err(CoreError::from))
-            .collect();
-        let encoded = encoded?;
-        match width {
-            LaneWidth::W64 => self.observe_probabilities::<1>(&mut stats, &encoded)?,
-            LaneWidth::W256 => self.observe_probabilities::<4>(&mut stats, &encoded)?,
-            LaneWidth::W512 => self.observe_probabilities::<8>(&mut stats, &encoded)?,
-        }
-
+        let (mut stats, encoded) = self.probability_sweep(pairs, width)?;
         let delays = self.delay_assignment(None)?;
         let mut sim = LevelSim::new(self.circuit.netlist(), &self.topology, delays);
         let mut zeros = Vec::with_capacity(2 * self.width());
@@ -591,6 +600,30 @@ impl MultiplierDesign {
         }
         stats.record_toggles(sim.gate_toggle_counts(), pairs.len() as u64)?;
         Ok(stats)
+    }
+
+    /// Encodes `pairs` and accumulates their signal probabilities at
+    /// `width` lanes — the half of the statistics shared by
+    /// [`signal_stats`](Self::signal_stats) and
+    /// [`workload_stats_wide`](Self::workload_stats_wide). The encoded
+    /// patterns are returned for the timed toggle pass.
+    fn probability_sweep(
+        &self,
+        pairs: &[(u64, u64)],
+        width: LaneWidth,
+    ) -> Result<(WorkloadStats, Vec<Vec<Logic>>), CoreError> {
+        let mut stats = WorkloadStats::new(self.circuit.netlist());
+        let encoded: Result<Vec<Vec<Logic>>, CoreError> = pairs
+            .iter()
+            .map(|&(a, b)| self.circuit.encode_inputs(a, b).map_err(CoreError::from))
+            .collect();
+        let encoded = encoded?;
+        match width {
+            LaneWidth::W64 => self.observe_probabilities::<1>(&mut stats, &encoded)?,
+            LaneWidth::W256 => self.observe_probabilities::<4>(&mut stats, &encoded)?,
+            LaneWidth::W512 => self.observe_probabilities::<8>(&mut stats, &encoded)?,
+        }
+        Ok((stats, encoded))
     }
 
     /// Accumulates signal probabilities for `encoded` into `stats` —

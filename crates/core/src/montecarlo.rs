@@ -248,7 +248,7 @@ impl<'a> MonteCarloCampaign<'a> {
         mut config: McConfig,
     ) -> Result<Self, CoreError> {
         design.verify_functional(pairs)?;
-        let stats = design.workload_stats(pairs)?;
+        let stats = design.signal_stats(pairs)?;
         let bti_by_year = config
             .years
             .iter()

@@ -245,7 +245,7 @@ impl<'a> FleetCampaign<'a> {
         if config.quorum == 0 {
             config.quorum = config.nodes / 2 + 1;
         }
-        let stats = design.workload_stats(&pairs)?;
+        let stats = design.signal_stats(&pairs)?;
         let p_high = stress_probabilities(design.circuit().netlist(), &stats);
 
         let nominal_cycle_fs = (config.cycle_ns * FS_PER_NS).round() as u64;

@@ -7,14 +7,22 @@ use crate::{BlockSim, GateId, NetId, Netlist, NetlistError, Topology};
 /// Per-net signal probabilities and per-gate switching activity accumulated
 /// over a workload.
 ///
-/// Two downstream consumers:
+/// The two halves are filled independently and serve different consumers:
 ///
-/// * the **BTI aging model** needs the fraction of time each gate's
-///   transistors spend under stress, which this type approximates with the
-///   settled high-probability of each net (`α(S)` in Eq. 1 of the paper);
-/// * the **power model** needs per-gate switching activity, which the
-///   event-driven simulator accumulates (including glitches) and hands over
-///   via [`WorkloadStats::record_toggles`].
+/// * **Signal probabilities**, for the **BTI aging model**. It needs the
+///   fraction of time each gate's transistors spend under stress, which
+///   this type approximates with the settled high-probability of each net
+///   (`α(S)` in Eq. 1 of the paper). A functional sweep fills them
+///   ([`observe_patterns`](Self::observe_patterns)); no timing is involved.
+/// * **Switching activity**, for the **power and electromigration
+///   models**. They need per-gate toggles, which a timed simulation
+///   accumulates (glitches included) and hands over via
+///   [`record_toggles`](Self::record_toggles). Until then
+///   [`toggle_pattern_count`](Self::toggle_pattern_count) is 0 and every
+///   [`gate_activity`](Self::gate_activity) reads 0.
+///
+/// An aging-only caller should fill the first half alone: the timed pass
+/// costs about as much as a timing profile of the same workload.
 ///
 /// # Example
 ///

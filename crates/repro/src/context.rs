@@ -147,10 +147,6 @@ const SEED_UNIFORM: u64 = 0x0A6E_0001;
 /// context test asserts the anchor still holds.
 const REFERENCE_GATE_7Y_FACTOR: f64 = 1.132;
 
-fn years_key(years: f64) -> u32 {
-    (years * 100.0).round() as u32
-}
-
 /// Lazily computed, cached artifacts shared across experiments: designs,
 /// workload statistics, aging factors, timing profiles, and critical-path
 /// measurements.
@@ -169,9 +165,11 @@ pub struct Context {
     designs: HashMap<(MultiplierKind, usize), Rc<MultiplierDesign>>,
     workloads: HashMap<(usize, usize), Rc<PatternSet>>,
     stats: HashMap<(MultiplierKind, usize), Rc<WorkloadStats>>,
-    factors: HashMap<(MultiplierKind, usize, u32), Rc<Vec<f64>>>,
-    profiles: HashMap<(MultiplierKind, usize, u32, usize), Rc<PatternProfile>>,
-    criticals: HashMap<(MultiplierKind, usize, u32), f64>,
+    // The aging epoch is keyed by the exact bits of `years` (with `-0.0`
+    // folded onto `0.0`), because factors are computed from that value.
+    factors: HashMap<(MultiplierKind, usize, u64), Rc<Vec<f64>>>,
+    profiles: HashMap<(MultiplierKind, usize, u64, usize), Rc<PatternProfile>>,
+    criticals: HashMap<(MultiplierKind, usize, u64), f64>,
 }
 
 impl Context {
@@ -297,7 +295,7 @@ impl Context {
         width: usize,
         years: f64,
     ) -> Result<Rc<Vec<f64>>> {
-        let key = (kind, width, years_key(years));
+        let key = (kind, width, (years + 0.0).to_bits());
         if let Some(f) = self.factors.get(&key) {
             return Ok(Rc::clone(f));
         }
@@ -322,7 +320,7 @@ impl Context {
         years: f64,
         count: usize,
     ) -> Result<Rc<PatternProfile>> {
-        let key = (kind, width, years_key(years), count);
+        let key = (kind, width, (years + 0.0).to_bits(), count);
         if let Some(p) = self.profiles.get(&key) {
             return Ok(Rc::clone(p));
         }
@@ -345,7 +343,7 @@ impl Context {
 
     /// The measured critical-path delay at age `years` (cached).
     pub fn critical(&mut self, kind: MultiplierKind, width: usize, years: f64) -> Result<f64> {
-        let key = (kind, width, years_key(years));
+        let key = (kind, width, (years + 0.0).to_bits());
         if let Some(&c) = self.criticals.get(&key) {
             return Ok(c);
         }

@@ -3,7 +3,7 @@
 //!
 //! This is the resident-process counterpart of the repro crate's
 //! single-threaded `Context`: the same lazily built artifacts (designs,
-//! workload statistics, BTI aging factors, timing profiles), but behind
+//! signal statistics, BTI aging factors, timing profiles), but behind
 //! poison-recovering locks and `Arc`s so hundreds of concurrent requests
 //! share one copy of everything. Profiles go through the sharded
 //! [`ProfileCache`] *behind* a [`SingleFlight`] coalescer, so N identical
@@ -68,7 +68,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Keyed store of workload statistics: (kind, width, patterns, seed).
+/// Keyed store of signal statistics: (kind, width, patterns, seed).
 type StatsMap = HashMap<(MultiplierKind, usize, usize, u64), Arc<WorkloadStats>>;
 
 /// The exact question a `profile` request asks: design, aging epoch and
@@ -78,7 +78,7 @@ type StatsMap = HashMap<(MultiplierKind, usize, usize, u64), Arc<WorkloadStats>>
 ///
 /// Within one [`ServerState`] the question determines the answer's
 /// [`ProfileKey`]: the BTI model is fixed, and the design, workload,
-/// workload statistics and aging factors are deterministic functions of
+/// signal statistics and aging factors are deterministic functions of
 /// these coordinates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct QueryKey {
@@ -242,7 +242,7 @@ impl ServerState {
             return Ok(Some(Arc::clone(f)));
         }
         let design = self.design(query.kind, query.width)?;
-        let stats = self.workload_stats(query)?;
+        let stats = self.signal_stats(query)?;
         let built = Arc::new(aging_factors(
             design.circuit().netlist(),
             &stats,
@@ -254,9 +254,10 @@ impl ServerState {
         Ok(Some(Arc::clone(f)))
     }
 
-    /// Workload statistics for the query's design under its own workload
-    /// (cached) — the stress input to the aging model.
-    fn workload_stats(&self, query: &DesignQuery) -> Result<Arc<WorkloadStats>, String> {
+    /// Signal statistics for the query's design under its own workload
+    /// (cached): the stress input to the aging model. No toggle pass runs,
+    /// so a miss simulates with timing only once, for the profile itself.
+    fn signal_stats(&self, query: &DesignQuery) -> Result<Arc<WorkloadStats>, String> {
         let key = (query.kind, query.width, query.patterns, query.seed);
         if let Some(s) = lock(&self.stats).get(&key) {
             return Ok(Arc::clone(s));
@@ -265,7 +266,7 @@ impl ServerState {
         let workload = self.workload(query.width, query.patterns, query.seed);
         let built = Arc::new(
             design
-                .workload_stats(workload.pairs())
+                .signal_stats(workload.pairs())
                 .map_err(|e| e.to_string())?,
         );
         let mut stats = lock(&self.stats);

@@ -51,12 +51,17 @@ timing-equiv:
 # Incremental-vs-full equivalence: the AgingSweep year stepper must be
 # byte-identical to from-scratch profiling, the quantized cache key must
 # agree with the sweep's diff threshold, the repro sweep drivers must
-# emit identical tables, and the server's per-question cache keys must
-# match keys derived from scratch (with `years` keyed exactly).
+# emit identical tables, the server's per-question cache keys must
+# match keys derived from scratch (with `years` keyed exactly), the repro
+# context's per-epoch caches must key `years` exactly too, and the
+# toggle-free `signal_stats` must give the aging model bit-identical
+# inputs to the full `workload_stats`.
 incremental-equiv:
 	cargo test -q -p agemul aging_sweep
 	cargo test -q -p agemul sub_threshold_aging_step_hits_coherently
+	cargo test -q -p agemul --test signal_stats
 	cargo test -q -p agemul-repro incremental_and_baseline_drivers_agree
+	cargo test -q -p agemul-repro --test context_years
 	cargo test -q -p agemul-serve --test years_key --test profile_memo
 
 # Incremental sweep smoke: the 7-year × 17-period driver study at reduced

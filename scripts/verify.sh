@@ -18,11 +18,15 @@ cargo run --release -p agemul-repro -- --quick faults >/dev/null
 # column-bypass workload (bit-identical profiles).
 cargo test -q -p agemul --test level_equiv timing_equiv_smoke_cb8
 # Incremental-vs-full equivalence: AgingSweep byte-identity, quantized
-# cache-key coherence, repro sweep-driver table agreement, and the
-# server's per-question cache keys (exact `years`, memo ≡ from scratch).
+# cache-key coherence, repro sweep-driver table agreement, the server's
+# per-question cache keys (exact `years`, memo ≡ from scratch), the repro
+# context's exact-`years` caches, and `signal_stats` ≡ `workload_stats`
+# for every aging input.
 cargo test -q -p agemul aging_sweep
 cargo test -q -p agemul sub_threshold_aging_step_hits_coherently
+cargo test -q -p agemul --test signal_stats
 cargo test -q -p agemul-repro incremental_and_baseline_drivers_agree
+cargo test -q -p agemul-repro --test context_years
 cargo test -q -p agemul-serve --test years_key --test profile_memo
 # Conformance smoke: 200 fixed-seed cases through the cross-engine
 # differential oracle + the metamorphic invariants; divergences shrink to
