@@ -18,8 +18,9 @@
 //! 2. **Dirty-cone pattern skipping** — for a year that does change some
 //!    gates, the sweep replays only the patterns whose recorded *touched
 //!    set* (the gates the levelized kernel actually visited for that
-//!    pattern) intersects the set of changed-delay gates. Every other
-//!    pattern's record is reused verbatim.
+//!    pattern) intersects the set of changed-delay gates. Both sets are
+//!    bitsets of one bit per gate, so the test is a word-wise AND. Every
+//!    other pattern's record is reused verbatim.
 //!
 //! # Why skipping is exact
 //!
@@ -27,14 +28,14 @@
 //! gates [`LevelSim`] visited while simulating it (a gate is visited iff
 //! one of its input nets carried an event). The input events at `t = 0`
 //! depend only on `S` and the applied vector, not on any delay. By
-//! induction over topological levels, every visited gate sees identical
-//! input waveforms and — if its own delay is unchanged — produces an
-//! identical output waveform; every unvisited gate produces none either
-//! way. So if no gate in `T` changed delay and the pre-state `S` matches
-//! the recorded one, the pattern's timing, toggle count, and settled
-//! post-state are all bit-identical to the recorded year — including
-//! glitches and inertial filtering, which is why the rule keys on the
-//! *visited* set rather than any static cone approximation.
+//! induction over the gates in topological order, every visited gate sees
+//! identical input waveforms and — if its own delay is unchanged —
+//! produces an identical output waveform; every unvisited gate produces
+//! none either way. So if no gate in `T` changed delay and the pre-state
+//! `S` matches the recorded one, the pattern's timing, toggle count, and
+//! settled post-state are all bit-identical to the recorded year —
+//! including glitches and inertial filtering, which is why the rule keys
+//! on the *visited* set rather than any static cone approximation.
 //!
 //! The pre-state condition is tracked dynamically: the sweep stores each
 //! pattern's packed settled state (2 bits/net via
@@ -45,6 +46,10 @@
 //! as soon as a replayed pattern's post-state reconverges. Skipped
 //! patterns keep their recorded state; before the next replay the kernel
 //! is rewound with [`LevelSim::restore_values`].
+//!
+//! One kernel serves the whole sweep: each year
+//! [`retime`](LevelSim::retime)s it to the new delays, which leaves it in
+//! exactly the state a freshly built kernel would start from.
 //!
 //! The result is byte-identical to a from-scratch
 //! [`MultiplierDesign::profile`] of the same (quantized) factors — the
@@ -99,8 +104,8 @@ struct SweepState {
     /// settled state after pattern `i`. Packed 2 bits/net.
     snapshots: Vec<Vec<u64>>,
     /// `touched[0]` is the settle's visited-gate set; `touched[i + 1]`
-    /// pattern `i`'s. Ascending gate indices.
-    touched: Vec<Vec<u32>>,
+    /// pattern `i`'s. Bitsets in [`LevelSim::touched_words`] layout.
+    touched: Vec<Vec<u64>>,
     /// Per-pattern gate-output toggles, so the workload mean reconstructs
     /// from the exact integer sum regardless of which patterns replayed.
     toggles: Vec<u64>,
@@ -135,6 +140,8 @@ pub struct AgingSweep<'a> {
     /// The all-zeros settle vector.
     zeros: Vec<Logic>,
     state: Option<SweepState>,
+    /// The timing kernel, built on the first year and retimed after.
+    sim: Option<LevelSim<'a>>,
     counters: SweepCounters,
 }
 
@@ -181,6 +188,7 @@ impl<'a> AgingSweep<'a> {
             encoded: encoded?,
             zeros,
             state: None,
+            sim: None,
             counters: SweepCounters::default(),
         })
     }
@@ -223,12 +231,15 @@ impl<'a> AgingSweep<'a> {
                 self.run_full(quantized, delays)
             }
             Some(prev) => {
-                // Per-gate diff of the quantized factor vectors; a `None`
-                // side reads as the uniform factor 1.0.
+                // Per-gate diff of the quantized factor vectors as a
+                // bitset; a `None` side reads as the uniform factor 1.0.
                 let at = |q: &Option<Vec<f64>>, g: usize| q.as_ref().map_or(1.0, |v| v[g]);
-                let changed: Vec<bool> = (0..gate_count)
-                    .map(|g| at(&prev.quantized, g) != at(&quantized, g))
-                    .collect();
+                let mut changed = vec![0u64; gate_count.div_ceil(64)];
+                for g in 0..gate_count {
+                    if at(&prev.quantized, g) != at(&quantized, g) {
+                        changed[g / 64] |= 1 << (g % 64);
+                    }
+                }
                 self.run_incremental(prev, quantized, delays, &changed)
             }
         }
@@ -243,28 +254,25 @@ impl<'a> AgingSweep<'a> {
         delays: agemul_netlist::DelayAssignment,
     ) -> Result<Arc<PatternProfile>, CoreError> {
         let n = self.pairs.len();
-        let mut sim = LevelSim::new(
-            self.design.circuit().netlist(),
-            self.design.topology(),
-            delays,
-        );
+        let mut sim = self.kernel(delays);
         let mut snapshots = Vec::with_capacity(n + 1);
         let mut touched = Vec::with_capacity(n + 1);
         let mut toggles = Vec::with_capacity(n);
         let mut records = Vec::with_capacity(n);
 
         sim.settle(&self.zeros)?;
-        touched.push(collect_touched(&sim));
+        touched.push(sim.touched_words().to_vec());
         snapshots.push(sim.snapshot_values());
 
         for (i, &(a, b)) in self.pairs.iter().enumerate() {
             let timing = sim.step(&self.encoded[i])?;
-            touched.push(collect_touched(&sim));
+            touched.push(sim.touched_words().to_vec());
             snapshots.push(sim.snapshot_values());
             toggles.push(timing.gate_toggles);
             records.push(self.record(a, b, timing.delay_ns));
         }
 
+        self.sim = Some(sim);
         Ok(self.commit(quantized, records, snapshots, touched, toggles))
     }
 
@@ -275,14 +283,10 @@ impl<'a> AgingSweep<'a> {
         prev: SweepState,
         quantized: Option<Vec<f64>>,
         delays: agemul_netlist::DelayAssignment,
-        changed: &[bool],
+        changed: &[u64],
     ) -> Result<Arc<PatternProfile>, CoreError> {
         let n = self.pairs.len();
-        let mut sim = LevelSim::new(
-            self.design.circuit().netlist(),
-            self.design.topology(),
-            delays,
-        );
+        let mut sim = self.kernel(delays);
         let SweepState {
             mut snapshots,
             mut touched,
@@ -293,7 +297,7 @@ impl<'a> AgingSweep<'a> {
         let prev_records = prev_profile.records();
         let mut records = Vec::with_capacity(n);
 
-        let hits = |set: &[u32]| set.iter().any(|&g| changed[g as usize]);
+        let hits = |set: &[u64]| set.iter().zip(changed).any(|(t, c)| t & c != 0);
 
         // Whether the settled trajectory under the new delays still matches
         // the recorded one (reuse is only sound while it does).
@@ -310,7 +314,7 @@ impl<'a> AgingSweep<'a> {
             sim.settle(&self.zeros)?;
             let snap = sim.snapshot_values();
             in_sync = snap == snapshots[0];
-            touched[0] = collect_touched(&sim);
+            touched[0].copy_from_slice(sim.touched_words());
             snapshots[0] = snap;
             sim_at = Some(0);
         } else {
@@ -334,14 +338,32 @@ impl<'a> AgingSweep<'a> {
             let timing = sim.step(&self.encoded[i])?;
             let snap = sim.snapshot_values();
             in_sync = snap == snapshots[i + 1];
-            touched[i + 1] = collect_touched(&sim);
+            touched[i + 1].copy_from_slice(sim.touched_words());
             snapshots[i + 1] = snap;
             toggles[i] = timing.gate_toggles;
             records.push(self.record(a, b, timing.delay_ns));
             sim_at = Some(i + 1);
         }
 
+        self.sim = Some(sim);
         Ok(self.commit(quantized, records, snapshots, touched, toggles))
+    }
+
+    /// The sweep's kernel under `delays`: the kept one
+    /// [`retime`](LevelSim::retime)d, or a fresh one on the first year.
+    /// Either way it starts from a freshly constructed kernel's state.
+    fn kernel(&mut self, delays: agemul_netlist::DelayAssignment) -> LevelSim<'a> {
+        match self.sim.take() {
+            Some(mut sim) => {
+                sim.retime(&delays);
+                sim
+            }
+            None => LevelSim::new(
+                self.design.circuit().netlist(),
+                self.design.topology(),
+                delays,
+            ),
+        }
     }
 
     fn record(&self, a: u64, b: u64, delay_ns: f64) -> PatternRecord {
@@ -366,7 +388,7 @@ impl<'a> AgingSweep<'a> {
         quantized: Option<Vec<f64>>,
         records: Vec<PatternRecord>,
         snapshots: Vec<Vec<u64>>,
-        touched: Vec<Vec<u32>>,
+        touched: Vec<Vec<u64>>,
         toggles: Vec<u64>,
     ) -> Arc<PatternProfile> {
         let avg_toggles = if records.is_empty() {
@@ -389,13 +411,6 @@ impl<'a> AgingSweep<'a> {
         });
         profile
     }
-}
-
-/// The gates the kernel visited in its most recent step, ascending.
-fn collect_touched(sim: &LevelSim<'_>) -> Vec<u32> {
-    let mut v = Vec::new();
-    sim.for_each_touched_gate(|g| v.push(g as u32));
-    v
 }
 
 #[cfg(test)]

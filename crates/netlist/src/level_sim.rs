@@ -3,18 +3,20 @@
 //! [`LevelSim`] computes the same femtosecond-exact two-vector timing as
 //! [`EventSim`](crate::EventSim) without a priority queue: the netlist is
 //! compiled once into a [`TimedPlan`](crate::plan::TimedPlan) (flat gate
-//! arrays + per-gate integer-femtosecond delays + topological levels), and
-//! each pattern is simulated as one ascending sweep over the levels that
-//! actually contain *dirty* gates.
+//! arrays + per-gate integer-femtosecond delays + CSR fanout), and each
+//! pattern is simulated as one ascending sweep over the gates that are
+//! actually *dirty*.
 //!
-//! # Why level order is exact
+//! # Why builder order is exact
 //!
 //! In a combinational DAG every gate's output waveform for a step is a pure
-//! function of its input nets' complete waveforms. Every gate driving one of
-//! gate `g`'s inputs sits at a strictly lower level, so by the time the
-//! sweep reaches `g` each input waveform is final and `g`'s output waveform
-//! can be produced in one sequential merge that replays `EventSim`'s exact
-//! rules:
+//! function of its input nets' complete waveforms. Builder order is
+//! topological — [`Netlist::add_gate`] only accepts nets that already
+//! exist, so every gate driving one of gate `g`'s inputs has a smaller
+//! index than `g`. Sweeping the dirty gates in ascending index order
+//! therefore reaches `g` only after each of its input waveforms is final,
+//! and `g`'s output waveform can be produced in one sequential merge that
+//! replays `EventSim`'s exact rules:
 //!
 //! * **delta-cycle atomicity** — all input events at a timestamp are applied
 //!   before the gate re-evaluates, and a pending output transition due at or
@@ -31,22 +33,44 @@
 //! One `EventSim` behaviour is load-bearing for the proof: with strictly
 //! positive gate delays every timestamp runs exactly one delta cycle
 //! (commits at `t` only produce events later than `t`), so a net's step
-//! waveform has strictly increasing times and the per-gate merge order is
-//! well defined. [`LevelSim::new`] therefore rejects zero-delay assignments,
-//! which the delay models never produce (`EventSim` tolerates them but the
-//! two kernels could then disagree on glitch counts).
+//! waveform has strictly increasing times — at most one event per input
+//! per merge timestamp — and the per-gate merge order is well defined.
+//! [`LevelSim::new`] therefore rejects zero-delay assignments, which the
+//! delay models never produce (`EventSim` tolerates them but the two
+//! kernels could then disagree on glitch counts).
 //!
-//! # Incremental cone re-simulation
+//! # The schedule: one dirty bit per gate
 //!
 //! Between consecutive patterns only the fan-out cones of *changed* input
-//! bits are touched: changed inputs seed per-level dirty queues
-//! (epoch-deduplicated), gates outside every cone are never visited, and
-//! their nets keep their settled values. On bypass multipliers, where a
-//! typical workload pattern flips a fraction of the operand bits, this skips
-//! most of the array per pattern — the second lever (besides removing heap
-//! pops) behind the profiling speedup.
+//! bits are touched: a changed input (or a gate that publishes a non-empty
+//! waveform) sets its readers' bits in a per-gate bitset, and the sweep
+//! scans that bitset word by word in ascending order. A reader always has
+//! a larger index than the gate that dirtied it, so a bit set during the
+//! sweep is never behind the scan position and each gate is merged at most
+//! once. Gates outside every cone are never visited and their nets keep
+//! their settled values. On bypass multipliers, where a typical workload
+//! pattern flips a fraction of the operand bits, this skips most of the
+//! array per pattern. The bitset is cleared at the start of every step,
+//! so after the step it is exactly the pattern's *touched set*
+//! ([`LevelSim::for_each_touched_gate`]).
 //!
-//! Waveforms live in one flat arena reset per step; per-net epoch stamps
+//! The cancel token, when one is attached, is polled once per non-empty
+//! bitset word.
+//!
+//! # Waveforms and commit-on-publish
+//!
+//! Waveforms live in one flat arena reset per step. Every published wave —
+//! including a changed input's single event at `t = 0` — is terminated by
+//! a `u64::MAX` sentinel (arena word 0 is a permanent empty wave), so the
+//! merge advances its cursors by compare-and-select and never bounds-checks
+//! a wave's length. A gate's merge writes its output straight into the
+//! arena past the published prefix; publishing it is a length bump.
+//!
+//! When a wave is published the net's new settled value is written into
+//! the value array at once, and its previous value moves into the net's
+//! [`WaveMeta`]. A later merge reads an active input's pre-step value
+//! from that record and an inactive input's from the value array, which a
+//! step only changes for nets that carried events. Per-net epoch stamps
 //! make "no events this step" a constant-time check instead of a clear.
 
 use agemul_logic::{GateKind, Logic};
@@ -62,7 +86,7 @@ use crate::{DelayAssignment, NetId, Netlist, NetlistError, PatternTiming, Topolo
 /// [`PatternTiming`] / toggle counters / fault overlays) so the profiling
 /// call sites can switch kernels without changing semantics; waveform
 /// tracing stays `EventSim`-only. See the module docs for the exactness
-/// argument.
+/// argument, the dirty-bit schedule, and commit-on-publish.
 ///
 /// # Example
 ///
@@ -90,7 +114,9 @@ pub struct LevelSim<'a> {
     netlist: &'a Netlist,
     topology: &'a Topology,
     plan: TimedPlan,
-    /// Settled value of every net (previous-vector state between steps).
+    /// Settled value of every net. During a step a net's entry is replaced
+    /// the moment its waveform is published (its pre-step value moves into
+    /// the net's [`WaveMeta`]).
     values: Vec<Logic>,
     /// The re-initialized settled state (constants + one functional sweep,
     /// through the overlay if attached), captured by [`reinit_values`]
@@ -100,47 +126,57 @@ pub struct LevelSim<'a> {
     /// one would — including tri-state hold history, which makes settled
     /// values history-dependent wherever a disabled `TBUF` sits.
     init_values: Vec<Logic>,
-    /// Flat per-step waveform storage: `arena[m.start..][..m.len]` for net
-    /// `n`'s [`WaveMeta`] `m`, valid iff `m.epoch == epoch`. Each event is
-    /// packed as `time_fs << 2 | logic` ([`pack`]/[`unpack`]), halving the
-    /// hot loop's memory traffic vs a `(u64, Logic)` pair.
+    /// Flat per-step waveform storage. Each event is packed as
+    /// `time_fs << 2 | logic` ([`pack`]) and every wave ends in a
+    /// [`SENTINEL`]; word 0 is a permanent empty wave. The first `top`
+    /// words of a step are published; a merge writes its output past
+    /// them, after growing the arena to the merge's output bound.
     arena: Vec<u64>,
-    /// Per-net arena bookkeeping, one 16-byte record per net so a waveform
+    /// Per-net wave bookkeeping, one 16-byte record per net so a waveform
     /// lookup touches a single cache line.
     waves: Vec<WaveMeta>,
-    /// Nets that received events this step (commit list).
-    dirty_nets: Vec<u32>,
-    /// Per-gate dirty stamp (dedup for `queues`).
-    gate_epoch: Vec<u64>,
-    epoch: u64,
-    /// Dirty gates per topological level, drained in ascending order.
-    queues: Vec<Vec<u32>>,
+    /// The current step's stamp; never 0, which marks "no wave" (see
+    /// [`invalidate_step`](Self::invalidate_step)).
+    epoch: u32,
+    /// One bit per gate (`g / 64`, bit `g % 64`): dirty during a step and
+    /// the step's touched set after it.
+    touched: Vec<u64>,
     toggles_per_gate: Vec<u64>,
-    /// Scratch taken out of `self` during a step (borrow split).
-    out_scratch: Vec<u64>,
     overlay: Option<crate::FaultOverlay>,
-    /// Per-kind truth tables over packed [`Logic`] discriminants (2 bits
-    /// per input), tabulated once from [`GateKind::eval`] — the single
-    /// source of combinational truth — so the merge loop evaluates a gate
-    /// with one load instead of an arity fold.
-    lut1: [[Logic; 4]; GateKind::ALL.len()],
-    lut2: [[Logic; 16]; GateKind::ALL.len()],
-    lut3: [[Logic; 64]; GateKind::ALL.len()],
+    /// Per-arity, per-kind truth tables over packed [`Logic`]
+    /// discriminants (2 bits per input, input 0 most significant),
+    /// tabulated once by [`eval_code`] — [`GateKind::eval`] plus the
+    /// tri-state [`HOLD`] — so the merge evaluates a gate with one load.
+    /// `luts[k - 1][kind]` serves arity `k`.
+    luts: [[[u8; 64]; GateKind::ALL.len()]; 3],
     /// Cooperative cancellation (None = never cancelled): polled once per
-    /// dirty level during a step.
+    /// non-empty dirty-bitset word during a step.
     cancel: Option<crate::CancelToken>,
 }
 
 /// All four [`Logic`] levels, indexed by enum discriminant.
 const LEVELS: [Logic; 4] = [Logic::Zero, Logic::One, Logic::Z, Logic::X];
 
-/// Per-net waveform bookkeeping: net `n`'s committed events this step are
-/// `arena[start..][..len]`, valid iff `epoch` matches the simulator's.
-#[derive(Clone, Copy, Debug, Default)]
+/// Wave terminator, and the "no pending transition" marker in the merge.
+/// Its time field (`u64::MAX >> 2`) exceeds every real timestamp (see
+/// [`assert_delay_contract`]), so it never compares due and never matches
+/// an input event's time.
+const SENTINEL: u64 = u64::MAX;
+
+/// The evaluation code for "disabled tri-state: hold", next to the four
+/// [`Logic`] discriminants.
+const HOLD: u8 = 4;
+
+/// Per-net wave bookkeeping: net `n`'s `len` events this step are
+/// `arena[start..][..len]`, followed by a [`SENTINEL`], and `prev` is the
+/// value it settled at before this step — valid iff `epoch` matches the
+/// simulator's.
+#[derive(Clone, Copy, Debug)]
 struct WaveMeta {
-    epoch: u64,
+    epoch: u32,
     start: u32,
     len: u32,
+    prev: Logic,
 }
 
 /// Packs an event into one arena word: femtosecond time in the upper 62
@@ -150,10 +186,34 @@ fn pack(t: u64, v: Logic) -> u64 {
     (t << 2) | v as u64
 }
 
-/// Inverse of [`pack`].
-#[inline(always)]
-fn unpack(e: u64) -> (u64, Logic) {
-    (e >> 2, LEVELS[(e & 3) as usize])
+/// Splits the arena into its published prefix `arena[..top]` and the
+/// space a merge writes its output to, first growing the arena so that
+/// space holds the largest possible output: one event per input event (a
+/// merge commits at most one transition per distinct input timestamp), a
+/// final flush, and the sentinel. `Vec::resize` grows the capacity
+/// geometrically but only initializes what is asked for.
+#[inline]
+fn merge_space(arena: &mut Vec<u64>, top: usize, input_events: usize) -> (&[u64], &mut [u64]) {
+    let need = top + input_events + 2;
+    if arena.len() < need {
+        arena.resize(need, SENTINEL);
+    }
+    let (published, out) = arena.split_at_mut(top);
+    (published, out)
+}
+
+/// `EventSim`'s gate evaluation as a code: a [`Logic`] discriminant, or
+/// [`HOLD`] for a `TBUF` whose enable reads low (no event: the committed
+/// value and any pending transition survive).
+fn eval_code(kind: GateKind, inputs: &[Logic]) -> u8 {
+    if kind == GateKind::Tbuf {
+        return match inputs[1].read().to_bool() {
+            Some(true) => inputs[0].read() as u8,
+            Some(false) => HOLD,
+            None => Logic::X as u8,
+        };
+    }
+    kind.eval(inputs) as u8
 }
 
 /// Asserts the two delay invariants every `LevelSim` schedule must satisfy:
@@ -181,7 +241,7 @@ fn assert_delay_contract(max_level: u32, delays_fs: impl Iterator<Item = u64>) {
 }
 
 impl<'a> LevelSim<'a> {
-    /// Compiles the netlist + `delays` into a levelized schedule and settles
+    /// Compiles the netlist + `delays` into a timing schedule and settles
     /// the initial (constants-only) state, like
     /// [`EventSim::new`](crate::EventSim::new).
     ///
@@ -196,54 +256,43 @@ impl<'a> LevelSim<'a> {
             plan.max_level(),
             (0..plan.gate_count()).map(|g| plan.delay_fs(g)),
         );
-        let queues = vec![Vec::new(); plan.max_level() as usize + 1];
 
-        let mut lut1 = [[Logic::X; 4]; GateKind::ALL.len()];
-        let mut lut2 = [[Logic::X; 16]; GateKind::ALL.len()];
-        let mut lut3 = [[Logic::X; 64]; GateKind::ALL.len()];
+        let mut luts = [[[Logic::X as u8; 64]; GateKind::ALL.len()]; 3];
         for (ki, kind) in GateKind::ALL.into_iter().enumerate() {
-            if kind.accepts_arity(1) {
-                for a in 0..4 {
-                    lut1[ki][a] = kind.eval(&[LEVELS[a]]);
+            for (k, lut) in luts.iter_mut().enumerate() {
+                let arity = k + 1;
+                if !kind.accepts_arity(arity) {
+                    continue;
                 }
-            }
-            if kind.accepts_arity(2) {
-                for a in 0..4 {
-                    for b in 0..4 {
-                        lut2[ki][a << 2 | b] = kind.eval(&[LEVELS[a], LEVELS[b]]);
+                for (idx, slot) in lut[ki].iter_mut().enumerate().take(1 << (2 * arity)) {
+                    let mut ins = [Logic::X; 3];
+                    for (i, v) in ins[..arity].iter_mut().enumerate() {
+                        *v = LEVELS[(idx >> (2 * (arity - 1 - i))) & 3];
                     }
-                }
-            }
-            if kind.accepts_arity(3) {
-                for a in 0..4 {
-                    for b in 0..4 {
-                        for c in 0..4 {
-                            lut3[ki][a << 4 | b << 2 | c] =
-                                kind.eval(&[LEVELS[a], LEVELS[b], LEVELS[c]]);
-                        }
-                    }
+                    *slot = eval_code(kind, &ins[..arity]);
                 }
             }
         }
 
+        let meta = WaveMeta {
+            epoch: 0,
+            start: 0,
+            len: 0,
+            prev: Logic::X,
+        };
         let mut sim = LevelSim {
             netlist,
             topology,
             plan,
             values: vec![Logic::X; netlist.net_count()],
             init_values: Vec::new(),
-            arena: Vec::new(),
-            waves: vec![WaveMeta::default(); netlist.net_count()],
-            dirty_nets: Vec::new(),
-            gate_epoch: vec![0; netlist.gate_count()],
+            arena: vec![SENTINEL],
+            waves: vec![meta; netlist.net_count()],
             epoch: 0,
-            queues,
+            touched: vec![0; netlist.gate_count().div_ceil(64)],
             toggles_per_gate: vec![0; netlist.gate_count()],
-            out_scratch: Vec::new(),
             overlay: None,
-            lut1,
-            lut2,
-            lut3,
+            luts,
             cancel: None,
         };
         sim.reinit_values();
@@ -251,13 +300,13 @@ impl<'a> LevelSim<'a> {
     }
 
     /// Swaps in a new per-gate delay assignment **without rebuilding** the
-    /// compiled schedule: the levelized gate arrays, CSR fanout, truth-table
-    /// LUTs, waveform arena, and dirty-queue scratch are all
-    /// topology-invariant and are reused as-is. Only the delay-dependent
-    /// slice of the [`TimedPlan`](crate::plan::TimedPlan) is rewritten, in
-    /// place, with zero allocation — this is what makes per-corner Monte
-    /// Carlo profiling an order of magnitude cheaper than constructing a
-    /// fresh kernel per corner.
+    /// compiled schedule: the flat gate arrays, CSR fanout, truth-table
+    /// LUTs, waveform arena, and dirty bitset are all topology-invariant
+    /// and are reused as-is. Only the delay-dependent slice of the
+    /// [`TimedPlan`](crate::plan::TimedPlan) is rewritten, in place, with
+    /// zero allocation — this is what makes per-corner Monte Carlo
+    /// profiling an order of magnitude cheaper than constructing a fresh
+    /// kernel per corner.
     ///
     /// After the swap the kernel is in byte-for-byte the state a freshly
     /// constructed `LevelSim::new(netlist, topology, delays)` (plus the
@@ -265,10 +314,10 @@ impl<'a> LevelSim<'a> {
     /// are restored from the cached re-initialization snapshot with one
     /// memcpy — tri-state holds make settled values history-dependent, so
     /// carrying the previous corner's state over would not be equivalent —
-    /// and the cumulative toggle counters are cleared. A retimed kernel
-    /// settled on the same vector as a fresh kernel therefore produces
-    /// femtosecond-identical [`step`](Self::step) results (property-pinned
-    /// in the `retime_equiv` suite). Any attached
+    /// and the cumulative toggle counters and touched set are cleared. A
+    /// retimed kernel settled on the same vector as a fresh kernel
+    /// therefore produces femtosecond-identical [`step`](Self::step)
+    /// results (property-pinned in the `retime_equiv` suite). Any attached
     /// [`FaultOverlay`](crate::FaultOverlay) and cancel token survive.
     ///
     /// # Panics
@@ -297,24 +346,38 @@ impl<'a> LevelSim<'a> {
     /// Restores the kernel to its post-construction state under the
     /// *current* delays: settled values come back from the cached
     /// re-initialization snapshot with one memcpy, cumulative toggle
-    /// counters clear, and stale waveforms are invalidated. Tri-state
-    /// holds make settled values history-dependent, so this is the only
-    /// way to make a reused kernel behave exactly like a fresh one — it is
-    /// the state-restore half of [`retime`](Self::retime), exposed for
-    /// callers that replay workloads without changing delays. Any attached
+    /// counters and the touched set clear, and stale waveforms are
+    /// invalidated. Tri-state holds make settled values history-dependent,
+    /// so this is the only way to make a reused kernel behave exactly like
+    /// a fresh one — it is the state-restore half of
+    /// [`retime`](Self::retime), exposed for callers that replay workloads
+    /// without changing delays. Any attached
     /// [`FaultOverlay`](crate::FaultOverlay) and cancel token survive.
     pub fn reset(&mut self) {
         self.values.copy_from_slice(&self.init_values);
         self.toggles_per_gate.iter_mut().for_each(|c| *c = 0);
-        // Stale waveforms must not leak into the next step's merges.
-        self.epoch += 1;
+        self.invalidate_step();
+    }
+
+    /// Forgets the last step: its waveforms can no longer leak into the
+    /// next step's merges, and its touched set is cleared.
+    fn invalidate_step(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: clear every stamp so none aliases a later epoch.
+            self.waves.iter_mut().for_each(|m| m.epoch = 0);
+            self.epoch = 1;
+        }
+        self.touched.fill(0);
     }
 
     /// Installs a [`CancelToken`](crate::CancelToken): subsequent
     /// [`step`](Self::step)/[`settle`](Self::settle) calls poll it once per
-    /// dirty level and abort with [`NetlistError::Cancelled`] once it fires.
-    /// Pass `None` to detach. After a cancelled step the settled values are
-    /// unspecified; [`settle`](Self::settle) before measuring again.
+    /// non-empty dirty-bitset word and abort with
+    /// [`NetlistError::Cancelled`] once it fires. A cancelled step rolls
+    /// the settled values back to their pre-step state; its toggle counts
+    /// are unspecified, so [`settle`](Self::settle) before measuring
+    /// again. Pass `None` to detach.
     pub fn set_cancel_token(&mut self, token: Option<crate::CancelToken>) {
         self.cancel = token;
     }
@@ -375,6 +438,19 @@ impl<'a> LevelSim<'a> {
         }
     }
 
+    /// The overlay's coercion of `net` as a table over evaluation codes
+    /// (identity without an overlay; [`HOLD`] always maps to itself).
+    #[inline]
+    fn coercion(&self, net: usize) -> [u8; 5] {
+        let mut co = [0, 1, 2, 3, HOLD];
+        if let Some(o) = &self.overlay {
+            for (c, &l) in co.iter_mut().zip(&LEVELS) {
+                *c = o.apply_scalar(net, l) as u8;
+            }
+        }
+        co
+    }
+
     /// Applies `inputs` and runs to quiescence, discarding timing and
     /// clearing the per-gate toggle counters (the "previous vector" setup).
     ///
@@ -393,7 +469,9 @@ impl<'a> LevelSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::WidthMismatch`] on a wrong input count.
+    /// Returns [`NetlistError::WidthMismatch`] on a wrong input count, or
+    /// [`NetlistError::Cancelled`] once an attached cancel token fires (the
+    /// settled values are then rolled back to their pre-step state).
     pub fn step(&mut self, inputs: &[Logic]) -> Result<PatternTiming, NetlistError> {
         if inputs.len() != self.netlist.input_count() {
             return Err(NetlistError::WidthMismatch {
@@ -401,12 +479,13 @@ impl<'a> LevelSim<'a> {
                 got: inputs.len(),
             });
         }
-        self.epoch += 1;
-        self.arena.clear();
-        self.dirty_nets.clear();
+        self.invalidate_step();
+        let epoch = self.epoch;
 
         let mut timing = PatternTiming::default();
         let mut last_out_fs: u64 = 0;
+        // Published arena prefix; word 0 is the shared empty wave.
+        let mut top = 1usize;
 
         // Seed: changed inputs become single-event waveforms at t = 0 and
         // mark their fanout cones dirty. Unchanged inputs touch nothing —
@@ -414,16 +493,23 @@ impl<'a> LevelSim<'a> {
         for (&net, &v) in self.netlist.inputs().iter().zip(inputs) {
             let idx = net.index();
             let v = self.coerce(idx, v);
-            if v == self.values[idx] {
+            let prev = self.values[idx];
+            if v == prev {
                 continue;
             }
+            if self.arena.len() < top + 2 {
+                self.arena.resize(top + 2, SENTINEL);
+            }
             self.waves[idx] = WaveMeta {
-                epoch: self.epoch,
-                start: self.arena.len() as u32,
+                epoch,
+                start: top as u32,
                 len: 1,
+                prev,
             };
-            self.arena.push(pack(0, v));
-            self.dirty_nets.push(idx as u32);
+            self.arena[top] = pack(0, v);
+            self.arena[top + 1] = SENTINEL;
+            top += 2;
+            self.values[idx] = v;
             timing.events += 1;
             if self.topology.is_output(net) {
                 timing.output_toggles += 1;
@@ -431,327 +517,269 @@ impl<'a> LevelSim<'a> {
             self.mark_fanout(idx);
         }
 
-        let mut out_buf = std::mem::take(&mut self.out_scratch);
-
-        for lvl in 1..=self.plan.max_level() as usize {
-            let mut queue = std::mem::take(&mut self.queues[lvl]);
-            if queue.is_empty() {
-                self.queues[lvl] = queue;
+        // Sweep the dirty bitset in ascending gate order. A merge only sets
+        // bits of gates after the current one, so the lowest unvisited bit
+        // of the current word is always the next gate.
+        for w in 0..self.touched.len() {
+            if self.touched[w] == 0 {
                 continue;
             }
-
-            if let Some(token) = &self.cancel {
-                if token.is_cancelled() {
-                    // Leave the simulator structurally reusable: drop all
-                    // dirty queues and scratch. Settled values are
-                    // unspecified until the next `settle`.
-                    queue.clear();
-                    self.queues[lvl] = queue;
-                    for q in &mut self.queues {
-                        q.clear();
-                    }
-                    self.out_scratch = out_buf;
-                    return Err(NetlistError::Cancelled);
+            if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+                self.roll_back();
+                return Err(NetlistError::Cancelled);
+            }
+            let mut visited = 0u64;
+            loop {
+                let rest = self.touched[w] & !visited;
+                if rest == 0 {
+                    break;
+                }
+                let bit = rest & rest.wrapping_neg();
+                visited |= bit;
+                let g = w * 64 + bit.trailing_zeros() as usize;
+                let len = self.compute_wave(g, top);
+                if len > 0 {
+                    self.publish(g, top, len, &mut timing, &mut last_out_fs);
+                    top += len + 1;
                 }
             }
-
-            // Gates on one level never feed each other, so a level's dirty
-            // set can be computed in any order (or in parallel chunks) and
-            // applied serially in queue order.
-            #[cfg(feature = "parallel")]
-            let computed_parallel = {
-                const PAR_MIN_GATES: usize = 128;
-                if queue.len() >= PAR_MIN_GATES && agemul_par::thread_count(queue.len()) > 1 {
-                    let this: &LevelSim<'a> = self;
-                    let waves: Vec<Vec<u64>> = agemul_par::par_map(&queue, |&g| {
-                        let mut out = Vec::new();
-                        this.compute_wave(g as usize, &mut out);
-                        out
-                    });
-                    for (&g, wave) in queue.iter().zip(&waves) {
-                        if !wave.is_empty() {
-                            self.apply_wave(g as usize, wave, &mut timing, &mut last_out_fs);
-                        }
-                    }
-                    true
-                } else {
-                    false
-                }
-            };
-            #[cfg(not(feature = "parallel"))]
-            let computed_parallel = false;
-
-            if !computed_parallel {
-                for &g in &queue {
-                    out_buf.clear();
-                    self.compute_wave(g as usize, &mut out_buf);
-                    if !out_buf.is_empty() {
-                        self.apply_wave(g as usize, &out_buf, &mut timing, &mut last_out_fs);
-                    }
-                }
-            }
-
-            queue.clear();
-            self.queues[lvl] = queue;
-        }
-
-        self.out_scratch = out_buf;
-
-        // Commit: a dirty net's settled value is its last transition.
-        // Deferred to the end so `compute_wave` reads previous-vector values.
-        for i in 0..self.dirty_nets.len() {
-            let n = self.dirty_nets[i] as usize;
-            let m = self.waves[n];
-            let end = (m.start + m.len) as usize;
-            self.values[n] = unpack(self.arena[end - 1]).1;
         }
 
         timing.delay_ns = last_out_fs as f64 / FS_PER_NS;
         Ok(timing)
     }
 
-    /// Net `n`'s committed transitions this step (empty if untouched),
-    /// as packed events.
-    #[inline]
-    fn wave_of(&self, n: usize) -> &[u64] {
-        let m = self.waves[n];
-        if m.epoch == self.epoch {
-            let start = m.start as usize;
-            &self.arena[start..start + m.len as usize]
-        } else {
-            &[]
+    /// Undoes a cancelled step's commit-on-publish: every net published in
+    /// the current epoch gets its pre-step value back, so the kernel is
+    /// left in the consistent state the step started from.
+    #[cold]
+    fn roll_back(&mut self) {
+        for (v, m) in self.values.iter_mut().zip(&self.waves) {
+            if m.epoch == self.epoch {
+                *v = m.prev;
+            }
         }
+        self.invalidate_step();
     }
 
-    /// Merges gate `g`'s input waveforms into its output waveform (pushed to
-    /// `out`), replaying `EventSim`'s commit/evaluate/schedule rules — see
-    /// the module docs. Pure read of `self`, so a level's dirty gates can
-    /// run concurrently.
+    /// Merges gate `g`'s input waveforms into its output waveform, written
+    /// sentinel-terminated at `arena[top..]`, and returns its event count.
     ///
     /// Dispatches on arity so the hot 1–3-input shapes run with fixed-size
-    /// cursor/value state in registers and hoisted waveform slices (the
+    /// cursor state in registers and a truth-table evaluation (the
     /// interior of the profiling hot loop); wider gates take the
     /// heap-backed generic path.
-    fn compute_wave(&self, g: usize, out: &mut Vec<u64>) {
+    #[inline]
+    fn compute_wave(&mut self, g: usize, top: usize) -> usize {
         match self.plan.inputs_of(g).len() {
-            1 => self.merge_wave::<1>(g, out),
-            2 => self.merge_wave::<2>(g, out),
-            3 => self.merge_wave::<3>(g, out),
-            4 => self.merge_wave::<4>(g, out),
-            _ => self.merge_wave_dyn(g, out),
+            1 => self.merge_wave::<1>(g, top),
+            2 => self.merge_wave::<2>(g, top),
+            3 => self.merge_wave::<3>(g, top),
+            _ => self.merge_wave_dyn(g, top),
         }
     }
 
-    /// The arity-`K` merge. `K` must equal gate `g`'s input count.
-    fn merge_wave<const K: usize>(&self, g: usize, out: &mut Vec<u64>) {
+    /// The arity-`K` merge, replaying `EventSim`'s commit/evaluate/schedule
+    /// rules (see the module docs) with selects instead of branches. `K`
+    /// must equal gate `g`'s input count.
+    fn merge_wave<const K: usize>(&mut self, g: usize, top: usize) -> usize {
         let inputs = self.plan.inputs_of(g);
         debug_assert_eq!(inputs.len(), K);
         let out_net = self.plan.output(g);
         let delay = self.plan.delay_fs(g);
-        let kind = self.plan.kind(g);
+        let co = self.coercion(out_net);
 
-        let empty: &[u64] = &[];
-        let mut waves = [empty; K];
-        let mut cur = [Logic::X; K];
-        let mut cursors = [0usize; K];
-        // `next[i]` caches the packed head event of wave `i` (`u64::MAX`
-        // when exhausted), so each loop iteration reads registers instead
-        // of re-probing the slices. Packed events order by time when
-        // compared whole (time is in the upper bits).
-        let mut next = [u64::MAX; K];
+        // Per input: arena cursor (word 0 = the empty wave for an input
+        // without events). `idx` packs every input's current value, input 0
+        // most significant — the LUT index.
+        let mut cursor = [0usize; K];
+        let mut idx = 0usize;
+        let mut input_events = 0usize;
         for i in 0..K {
             let n = inputs[i] as usize;
-            waves[i] = self.wave_of(n);
-            cur[i] = self.values[n];
-            next[i] = waves[i].first().copied().unwrap_or(u64::MAX);
+            let m = self.waves[n];
+            let active = m.epoch == self.epoch;
+            cursor[i] = if active { m.start as usize } else { 0 };
+            input_events += if active { m.len as usize } else { 0 };
+            let v = if active { m.prev } else { self.values[n] };
+            idx = (idx << 2) | v as usize;
         }
-        let mut committed = self.values[out_net];
+        let (published, out) = merge_space(&mut self.arena, top, input_events);
+        let lut = &self.luts[K - 1][self.plan.kind(g) as usize];
+        // Each input's head event, cached in registers.
+        let mut next = cursor.map(|c| published[c]);
+        // `values[out_net]` is still pre-step: only this merge's publish
+        // writes it.
+        let mut committed = self.values[out_net] as u64;
         // The pending output transition, packed like an arena event;
-        // `u64::MAX` means none (its time field exceeds any real timestamp,
-        // so the due-commit comparison needs no separate branch).
-        let mut pending: u64 = u64::MAX;
-        let ki = kind as usize;
-        let is_tbuf = kind == GateKind::Tbuf;
-        let overlay = self.overlay.as_ref();
+        // SENTINEL means none.
+        let mut pending = SENTINEL;
+        let mut len = 0usize;
 
         loop {
-            // Next input-event timestamp across all cursors.
-            let mut m = u64::MAX;
+            // Next input-event timestamp across all cursors; packed events
+            // order by time when compared whole.
+            let mut m = SENTINEL;
             for &e in &next {
                 m = m.min(e);
             }
-            if m == u64::MAX {
+            if m == SENTINEL {
                 break;
             }
             let t_now = m >> 2;
             // Delta-cycle order at `t_now`: the pending output transition
-            // commits first if due, then all input events at `t_now` apply,
-            // then the gate evaluates once.
-            if pending >> 2 <= t_now {
-                out.push(pending);
-                committed = LEVELS[(pending & 3) as usize];
-                pending = u64::MAX;
-            }
+            // commits first if due (written unconditionally, kept only if
+            // due), then every input event at `t_now` applies (at most one
+            // per input), then the gate evaluates once.
+            let due = pending >> 2 <= t_now;
+            out[len] = pending;
+            len += due as usize;
+            committed = if due { pending & 3 } else { committed };
+            pending = if due { SENTINEL } else { pending };
             for i in 0..K {
-                while next[i] >> 2 == t_now {
-                    cur[i] = LEVELS[(next[i] & 3) as usize];
-                    cursors[i] += 1;
-                    next[i] = waves[i].get(cursors[i]).copied().unwrap_or(u64::MAX);
-                }
+                let e = next[i];
+                let hit = e >> 2 == t_now;
+                let shift = 2 * (K - 1 - i);
+                let applied = (idx & !(3 << shift)) | ((e & 3) as usize) << shift;
+                idx = if hit { applied } else { idx };
+                cursor[i] += hit as usize;
+                next[i] = published[cursor[i]];
             }
-            let candidate = if is_tbuf {
-                match cur[K - 1].read().to_bool() {
-                    Some(true) => Some(cur[0].read()),
-                    Some(false) => None, // hold: committed and pending survive
-                    None => Some(Logic::X),
-                }
-            } else {
-                let mut idx = 0usize;
-                for &c in &cur {
-                    idx = (idx << 2) | c as usize;
-                }
-                Some(match K {
-                    1 => self.lut1[ki][idx],
-                    2 => self.lut2[ki][idx],
-                    3 => self.lut3[ki][idx],
-                    _ => kind.eval(&cur),
-                })
-            };
-            let Some(v) = candidate else { continue };
-            let v = match overlay {
-                Some(o) => o.apply_scalar(out_net, v),
-                None => v,
-            };
+            let v = co[lut[idx] as usize];
             // EventSim::schedule, minus the queue: at most one pending
             // transition, same-value keeps the earlier arrival, a
-            // disagreement retracts, a collapse back to `committed` cancels.
-            let cand = pack(t_now + delay, v);
-            if pending != u64::MAX {
-                if pending & 3 == cand & 3 {
-                    // Same value: packed compare is a time compare here.
-                    pending = pending.min(cand);
-                } else if v == committed {
-                    pending = u64::MAX;
-                } else {
-                    pending = cand;
-                }
-            } else if v != committed {
-                pending = cand;
-            }
+            // disagreement retracts, a collapse back to `committed` cancels,
+            // and a tri-state hold leaves everything as it was.
+            let v = u64::from(v);
+            let cand = ((t_now + delay) << 2) | (v & 3);
+            let same = pending != SENTINEL && pending & 3 == v;
+            let fresh = if v == committed { SENTINEL } else { cand };
+            let scheduled = if same { pending.min(cand) } else { fresh };
+            pending = if v == u64::from(HOLD) {
+                pending
+            } else {
+                scheduled
+            };
         }
         // Inputs exhausted: a surviving pending transition commits when the
         // event queue would have drained to it.
-        if pending != u64::MAX {
-            out.push(pending);
-        }
+        out[len] = pending;
+        len += (pending != SENTINEL) as usize;
+        out[len] = SENTINEL;
+        len
     }
 
-    /// The rare wide-gate merge (arity > 4): identical rules, heap-backed
-    /// per-call state.
-    fn merge_wave_dyn(&self, g: usize, out: &mut Vec<u64>) {
+    /// The rare wide-gate merge (arity > 3): identical rules, heap-backed
+    /// per-call state and [`eval_code`] instead of a truth table.
+    fn merge_wave_dyn(&mut self, g: usize, top: usize) -> usize {
         let inputs = self.plan.inputs_of(g);
         let out_net = self.plan.output(g);
         let delay = self.plan.delay_fs(g);
         let kind = self.plan.kind(g);
+        let co = self.coercion(out_net);
 
-        let waves: Vec<&[u64]> = inputs.iter().map(|&n| self.wave_of(n as usize)).collect();
-        let mut cur: Vec<Logic> = inputs.iter().map(|&n| self.values[n as usize]).collect();
-        let mut cursors = vec![0usize; inputs.len()];
-        let mut committed = self.values[out_net];
-        let mut pending: Option<(u64, Logic)> = None;
+        let mut cursor = Vec::with_capacity(inputs.len());
+        let mut cur = Vec::with_capacity(inputs.len());
+        let mut input_events = 0usize;
+        for &n in inputs {
+            let m = self.waves[n as usize];
+            let active = m.epoch == self.epoch;
+            cursor.push(if active { m.start as usize } else { 0 });
+            input_events += if active { m.len as usize } else { 0 };
+            cur.push(if active {
+                m.prev
+            } else {
+                self.values[n as usize]
+            });
+        }
+        let (published, out) = merge_space(&mut self.arena, top, input_events);
+        let mut committed = self.values[out_net] as u64;
+        let mut pending = SENTINEL;
+        let mut len = 0usize;
 
         loop {
-            let mut t_now = u64::MAX;
-            for (w, &c) in waves.iter().zip(&cursors) {
-                if let Some(&e) = w.get(c) {
-                    t_now = t_now.min(e >> 2);
-                }
-            }
-            if t_now == u64::MAX {
+            let m = cursor
+                .iter()
+                .map(|&c| published[c])
+                .min()
+                .unwrap_or(SENTINEL);
+            if m == SENTINEL {
                 break;
             }
-            if let Some((pt, pv)) = pending {
-                if pt <= t_now {
-                    out.push(pack(pt, pv));
-                    committed = pv;
-                    pending = None;
+            let t_now = m >> 2;
+            if pending >> 2 <= t_now {
+                out[len] = pending;
+                len += 1;
+                committed = pending & 3;
+                pending = SENTINEL;
+            }
+            for (c, v) in cursor.iter_mut().zip(cur.iter_mut()) {
+                let e = published[*c];
+                if e >> 2 == t_now {
+                    *v = LEVELS[(e & 3) as usize];
+                    *c += 1;
                 }
             }
-            for i in 0..waves.len() {
-                while let Some(&e) = waves[i].get(cursors[i]) {
-                    if e >> 2 != t_now {
-                        break;
-                    }
-                    cur[i] = LEVELS[(e & 3) as usize];
-                    cursors[i] += 1;
-                }
+            let v = co[eval_code(kind, &cur) as usize];
+            if v == HOLD {
+                continue;
             }
-            // Tbuf is always arity 2, so no tri-state case here.
-            let v = self.coerce(out_net, kind.eval(&cur));
-            let t = t_now + delay;
-            match pending {
-                Some((pt, pv)) => {
-                    if pv == v {
-                        if t < pt {
-                            pending = Some((t, v));
-                        }
-                    } else if v == committed {
-                        pending = None;
-                    } else {
-                        pending = Some((t, v));
-                    }
-                }
-                None => {
-                    if v != committed {
-                        pending = Some((t, v));
-                    }
-                }
+            let v = u64::from(v);
+            let cand = ((t_now + delay) << 2) | v;
+            if pending != SENTINEL && pending & 3 == v {
+                pending = pending.min(cand);
+            } else if v == committed {
+                pending = SENTINEL;
+            } else {
+                pending = cand;
             }
         }
-        if let Some((pt, pv)) = pending {
-            out.push(pack(pt, pv));
+        if pending != SENTINEL {
+            out[len] = pending;
+            len += 1;
         }
+        out[len] = SENTINEL;
+        len
     }
 
-    /// Publishes gate `g`'s output waveform: arena bookkeeping, toggle and
-    /// event counters, output-delay tracking, and fanout dirtying.
-    fn apply_wave(
+    /// Publishes gate `g`'s `len`-event output waveform at `arena[top..]`:
+    /// wave bookkeeping, commit of the new settled value, toggle and event
+    /// counters, output-delay tracking, and fanout dirtying.
+    fn publish(
         &mut self,
         g: usize,
-        events: &[u64],
+        top: usize,
+        len: usize,
         timing: &mut PatternTiming,
         last_out_fs: &mut u64,
     ) {
-        debug_assert!(!events.is_empty());
+        debug_assert!(len > 0);
         let out_net = self.plan.output(g);
         self.waves[out_net] = WaveMeta {
             epoch: self.epoch,
-            start: self.arena.len() as u32,
-            len: events.len() as u32,
+            start: top as u32,
+            len: len as u32,
+            prev: self.values[out_net],
         };
-        self.arena.extend_from_slice(events);
-        self.dirty_nets.push(out_net as u32);
+        let last = self.arena[top + len - 1];
+        self.values[out_net] = LEVELS[(last & 3) as usize];
 
-        let n = events.len() as u64;
+        let n = len as u64;
         self.toggles_per_gate[g] += n;
         timing.gate_toggles += n;
         timing.events += n;
         if self.topology.is_output(NetId::from_index(out_net)) {
             timing.output_toggles += n;
-            *last_out_fs = (*last_out_fs).max(events[events.len() - 1] >> 2);
+            *last_out_fs = (*last_out_fs).max(last >> 2);
         }
         self.mark_fanout(out_net);
     }
 
-    /// Marks `net`'s fanout gates dirty (once per step, via epoch stamps).
+    /// Sets the dirty bit of every gate reading `net`.
+    #[inline]
     fn mark_fanout(&mut self, net: usize) {
         for &g in self.plan.fanout_of(net) {
-            let gi = g as usize;
-            if self.gate_epoch[gi] != self.epoch {
-                self.gate_epoch[gi] = self.epoch;
-                let lvl = self.plan.level_of(gi) as usize;
-                self.queues[lvl].push(gi as u32);
-            }
+            self.touched[g as usize / 64] |= 1 << (g % 64);
         }
     }
 
@@ -775,9 +803,9 @@ impl<'a> LevelSim<'a> {
 
     /// Restores every net's settled value from a
     /// [`snapshot_values`](Self::snapshot_values) record taken on a
-    /// simulator over the same netlist. Pending per-step scratch is
-    /// invalidated; the next [`step`](Self::step) treats the restored
-    /// values as the previous vector.
+    /// simulator over the same netlist. Pending per-step scratch and the
+    /// touched set are invalidated; the next [`step`](Self::step) treats
+    /// the restored values as the previous vector.
     ///
     /// # Panics
     ///
@@ -791,22 +819,33 @@ impl<'a> LevelSim<'a> {
         for (idx, v) in self.values.iter_mut().enumerate() {
             *v = LEVELS[((packed[idx / 32] >> ((idx % 32) * 2)) & 3) as usize];
         }
-        // Stale waveforms must not leak into the next step's merges.
-        self.epoch += 1;
+        self.invalidate_step();
     }
 
     /// Calls `f` with the index of every gate whose output waveform was
     /// (re)computed during the most recent [`step`](Self::step) — the
-    /// pattern's *touched set*. A gate outside this set saw no input event,
-    /// so its contribution to timing and toggles is independent of its own
-    /// delay; the incremental aging sweep uses this to prove a pattern's
-    /// profile is unchanged when no touched gate's delay changed.
+    /// pattern's *touched set* — in ascending order. A gate outside this
+    /// set saw no input event, so its contribution to timing and toggles is
+    /// independent of its own delay; the incremental aging sweep uses this
+    /// to prove a pattern's profile is unchanged when no touched gate's
+    /// delay changed. Empty after [`reset`](Self::reset),
+    /// [`retime`](Self::retime), and [`restore_values`](Self::restore_values).
     pub fn for_each_touched_gate(&self, mut f: impl FnMut(usize)) {
-        for (g, &e) in self.gate_epoch.iter().enumerate() {
-            if e == self.epoch {
-                f(g);
+        for (w, &word) in self.touched.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                f(w * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
             }
         }
+    }
+
+    /// The touched set of [`for_each_touched_gate`](Self::for_each_touched_gate)
+    /// as a bitset: gate `g` is bit `g % 64` of word `g / 64`, one word per
+    /// 64 gates.
+    #[inline]
+    pub fn touched_words(&self) -> &[u64] {
+        &self.touched
     }
 
     /// Settled primary output values in declaration order.
@@ -1018,6 +1057,56 @@ mod tests {
         let tl = level.step(&[Logic::One]).unwrap();
         let te = event.step(&[Logic::One]).unwrap();
         assert_eq!(tl, te);
+    }
+
+    #[test]
+    fn wide_gates_match_event_sim() {
+        // 4- and 5-input gates take the generic merge; skewed inverter
+        // chains on their inputs make them glitch.
+        use crate::{FaultKind, FaultOverlay};
+        let mut n = Netlist::new();
+        let ins: Vec<NetId> = (0..5).map(|i| n.add_input(format!("i{i}"))).collect();
+        let mut skewed = Vec::new();
+        for (i, &net) in ins.iter().enumerate() {
+            let mut x = net;
+            for _ in 0..i {
+                x = n.add_gate(GateKind::Not, &[x]).unwrap();
+            }
+            skewed.push(x);
+        }
+        let x5 = n.add_gate(GateKind::Xor, &skewed).unwrap();
+        let n4 = n.add_gate(GateKind::Nand, &skewed[1..]).unwrap();
+        let o4 = n
+            .add_gate(GateKind::Or, &[x5, n4, skewed[0], ins[4]])
+            .unwrap();
+        n.mark_output(x5, "x5");
+        n.mark_output(n4, "n4");
+        n.mark_output(o4, "o4");
+        let t = n.topology().unwrap();
+        let mut d = DelayAssignment::uniform(&n, &DelayModel::nominal());
+        d.inflate(GateId::from_index(n.gate_count() - 3), 0.2);
+        d.inflate(GateId::from_index(n.gate_count() - 2), 3.0);
+
+        let mut overlay = FaultOverlay::new(&n);
+        overlay.add(n4, FaultKind::Flip, 1).unwrap();
+        for faulty in [false, true] {
+            let mut level = LevelSim::new(&n, &t, d.clone());
+            let mut event = EventSim::new(&n, &t, d.clone());
+            if faulty {
+                level.set_fault_overlay(overlay.clone());
+                event.set_fault_overlay(overlay.clone());
+            }
+            for k in 0..64u32 {
+                let bits = k.wrapping_mul(0x9e37) >> 3;
+                let v: Vec<Logic> = (0..5).map(|i| Logic::from(bits >> i & 1 == 1)).collect();
+                assert_eq!(level.step(&v).unwrap(), event.step(&v).unwrap(), "{k}");
+                for idx in 0..n.net_count() {
+                    let net = NetId::from_index(idx);
+                    assert_eq!(level.value(net), event.value(net));
+                }
+            }
+            assert_eq!(level.gate_toggle_counts(), event.gate_toggle_counts());
+        }
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! indirection per gate input per pattern from the hottest loop in the
 //! workspace.
 //!
-//! [`TimedPlan`] extends the functional [`GatePlan`] into a levelized
-//! *timing* schedule for [`LevelSim`](crate::LevelSim): the same flat
-//! arrays plus each gate instance's propagation delay in integer
-//! femtoseconds and its topological level, so the timed kernel can sweep
-//! dirty gates level by level in linear memory instead of popping a
+//! [`TimedPlan`] extends the functional [`GatePlan`] into a *timing*
+//! schedule for [`LevelSim`](crate::LevelSim): the same flat arrays plus
+//! each gate instance's propagation delay in integer femtoseconds and a
+//! flattened fanout adjacency, so the timed kernel can sweep dirty gates
+//! in builder (topological) order in linear memory instead of popping a
 //! priority queue.
 
 use agemul_logic::GateKind;
@@ -88,19 +88,21 @@ impl GatePlan {
     }
 }
 
-/// A levelized timing schedule: the flat [`GatePlan`] arrays plus per-gate
-/// integer-femtosecond delays and topological levels.
+/// A timing schedule: the flat [`GatePlan`] arrays plus per-gate
+/// integer-femtosecond delays and the flattened fanout of every net.
 ///
-/// This is the compiled form [`LevelSim`](crate::LevelSim) executes. The
-/// level of a gate (copied from [`Topology`]) is strictly greater than the
-/// level of every gate driving one of its inputs, so sweeping levels in
-/// ascending order guarantees that when a gate is evaluated, the complete
-/// step waveform of each of its input nets is already final.
+/// This is the compiled form [`LevelSim`](crate::LevelSim) executes. Gates
+/// keep builder order, which is topological (every gate driving one of a
+/// gate's inputs has a smaller index), so sweeping dirty gates in
+/// ascending index order guarantees that when a gate is evaluated, the
+/// complete step waveform of each of its input nets is already final. The
+/// only level information kept is the depth
+/// ([`max_level`](Self::max_level)), which bounds the latest event time of
+/// a step.
 #[derive(Clone, Debug)]
 pub(crate) struct TimedPlan {
     gates: GatePlan,
     delays_fs: Vec<u64>,
-    level_of: Vec<u32>,
     max_level: u32,
     /// Flattened fanout adjacency: `fan_dat[fan_off[n]..fan_off[n + 1]]`
     /// are the gates reading net `n` (contiguous, unlike the per-net
@@ -111,7 +113,7 @@ pub(crate) struct TimedPlan {
 }
 
 impl TimedPlan {
-    /// Compiles `netlist` + `delays` into a levelized schedule.
+    /// Compiles `netlist` + `delays` into a timing schedule.
     ///
     /// # Panics
     ///
@@ -129,9 +131,6 @@ impl TimedPlan {
         let delays_fs = (0..netlist.gate_count())
             .map(|g| delays.delay_fs(GateId::from_index(g)))
             .collect();
-        let level_of = (0..netlist.gate_count())
-            .map(|g| topology.level(GateId::from_index(g)))
-            .collect();
         let mut fan_off = Vec::with_capacity(netlist.net_count() + 1);
         let mut fan_dat = Vec::new();
         fan_off.push(0);
@@ -147,7 +146,6 @@ impl TimedPlan {
         TimedPlan {
             gates,
             delays_fs,
-            level_of,
             max_level: topology.max_level(),
             fan_off,
             fan_dat,
@@ -155,7 +153,7 @@ impl TimedPlan {
     }
 
     /// Swaps in a new per-gate delay vector, leaving every
-    /// topology-invariant part (flat gate arrays, levels, CSR fanout)
+    /// topology-invariant part (flat gate arrays, depth, CSR fanout)
     /// untouched. The in-place rewrite is what makes corner-batched
     /// Monte Carlo profiling cheap: only the delay-dependent slice of the
     /// schedule changes between corners, with zero allocation.
@@ -211,12 +209,6 @@ impl TimedPlan {
     #[inline]
     pub(crate) fn delay_fs(&self, g: usize) -> u64 {
         self.delays_fs[g]
-    }
-
-    /// Gate `g`'s topological level (1 = reads only inputs/constants).
-    #[inline]
-    pub(crate) fn level_of(&self, g: usize) -> u32 {
-        self.level_of[g]
     }
 
     /// The deepest level in the schedule (0 for a gate-free netlist).
@@ -279,8 +271,6 @@ mod tests {
         let plan = TimedPlan::new(&n, &topo, &delays);
         assert_eq!(plan.gate_count(), 2);
         assert_eq!(plan.max_level(), 2);
-        assert_eq!(plan.level_of(0), 1);
-        assert_eq!(plan.level_of(1), 2);
         for g in 0..2 {
             assert_eq!(plan.delay_fs(g), delays.delay_fs(GateId::from_index(g)));
             assert_eq!(plan.kind(g), GateKind::Not);

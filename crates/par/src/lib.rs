@@ -11,9 +11,12 @@
 //! Only order-independent workloads belong here. In `agemul` that means
 //! period sweeps (each period replays an immutable profile), functional
 //! batch-simulation chunks (stateless per pattern), and whole repro figures
-//! (each gets its own context). The event-driven timing simulator is
-//! deliberately *not* fanned out per-chunk: its tri-state hold semantics
-//! make every pattern depend on simulator history.
+//! (each gets its own context). Neither timing kernel — the event-driven
+//! `EventSim` nor the levelized `LevelSim` — is fanned out: tri-state
+//! hold semantics make every pattern depend on simulator history, and a
+//! pattern's dirty cone is far too small to pay for spawning threads
+//! inside one step (a per-level fan-out in `LevelSim` once made the
+//! parallel build's kernel up to 3.4× slower than the serial one).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

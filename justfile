@@ -44,9 +44,13 @@ fault-smoke:
 	cargo run --release -p agemul-repro -- --quick faults
 
 # Timing-kernel equivalence smoke: the levelized kernel must reproduce the
-# event-driven reference bit-for-bit on an 8×8 column-bypass workload.
+# event-driven reference bit-for-bit on an 8×8 column-bypass workload, on
+# random DAGs (fresh and retimed kernels), and its touched set must match
+# an event-trace oracle (no stale gates, cancellation rolls back).
 timing-equiv:
 	cargo test -q -p agemul --test level_equiv timing_equiv_smoke_cb8
+	cargo test -q -p agemul-netlist --test level_equiv --test retime_equiv
+	cargo test -q -p agemul-netlist --test touched_set
 
 # Incremental-vs-full equivalence: the AgingSweep year stepper must be
 # byte-identical to from-scratch profiling, the quantized cache key must

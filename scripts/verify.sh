@@ -15,8 +15,11 @@ cargo test -q --workspace
 # Fault-campaign smoke: a reduced-scale end-to-end injection run.
 cargo run --release -p agemul-repro -- --quick faults >/dev/null
 # Timing-kernel equivalence smoke: LevelSim vs EventSim on an 8×8
-# column-bypass workload (bit-identical profiles).
+# column-bypass workload (bit-identical profiles), on random DAGs (fresh
+# and retimed kernels), and the touched set against an event-trace oracle.
 cargo test -q -p agemul --test level_equiv timing_equiv_smoke_cb8
+cargo test -q -p agemul-netlist --test level_equiv --test retime_equiv
+cargo test -q -p agemul-netlist --test touched_set
 # Incremental-vs-full equivalence: AgingSweep byte-identity, quantized
 # cache-key coherence, repro sweep-driver table agreement, the server's
 # per-question cache keys (exact `years`, memo ≡ from scratch), the repro
